@@ -43,9 +43,9 @@ const SHARDS: usize = 16;
 /// One shard: the slot map plus an exact LRU order maintained as a
 /// tick → key index (ticks are unique, monotone per shard).
 #[derive(Debug)]
-struct Shard<V> {
-    slots: HashMap<u64, Slot<V>>,
-    recency: BTreeMap<u64, u64>,
+struct Shard<V, K> {
+    slots: HashMap<K, Slot<V>>,
+    recency: BTreeMap<u64, K>,
     tick: u64,
     used_bytes: usize,
 }
@@ -57,8 +57,8 @@ struct Slot<V> {
     tick: u64,
 }
 
-impl<V> Default for Shard<V> {
-    fn default() -> Shard<V> {
+impl<V, K> Default for Shard<V, K> {
+    fn default() -> Shard<V, K> {
         Shard {
             slots: HashMap::new(),
             recency: BTreeMap::new(),
@@ -68,13 +68,18 @@ impl<V> Default for Shard<V> {
     }
 }
 
-impl<V> Shard<V> {
-    fn touch(&mut self, key: u64) {
-        let slot = self.slots.get_mut(&key).expect("touch of resident key");
-        self.recency.remove(&slot.tick);
+impl<V, K: Hash + Eq + Clone> Shard<V, K> {
+    /// Refresh the recency of a resident key and share out its value.
+    fn touch(&mut self, key: &K) -> Option<Arc<V>> {
+        let slot = self.slots.get_mut(key)?;
+        let key = self
+            .recency
+            .remove(&slot.tick)
+            .expect("slot has a recency entry");
         self.tick += 1;
         slot.tick = self.tick;
         self.recency.insert(self.tick, key);
+        Some(Arc::clone(&slot.value))
     }
 
     /// Evict least-recently-used slots until the shard fits its budget.
@@ -84,10 +89,9 @@ impl<V> Shard<V> {
     fn evict_to(&mut self, budget: usize) -> u64 {
         let mut evicted = 0;
         while self.used_bytes > budget {
-            let Some((&tick, &key)) = self.recency.iter().next() else {
+            let Some((_, key)) = self.recency.pop_first() else {
                 break;
             };
-            self.recency.remove(&tick);
             let slot = self.slots.remove(&key).expect("recency points at slot");
             self.used_bytes -= slot.cost;
             evicted += 1;
@@ -99,23 +103,23 @@ impl<V> Shard<V> {
 /// A concurrency-safe memo table: lock-sharded, LRU-bounded by an
 /// approximate byte budget, values shared out as `Arc<V>`.
 ///
-/// The key is expected to *be* a hash (all callers key by `FxHasher`
-/// digests of the determining inputs), so shard selection and the inner
-/// `HashMap` reuse it directly.
+/// Keys default to `u64` digests of the determining inputs. A key is
+/// compared in full on every lookup; its `FxHasher` digest only picks
+/// the shard.
 #[derive(Debug)]
-pub struct ShardedLru<V> {
-    shards: Vec<Mutex<Shard<V>>>,
+pub struct ShardedLru<V, K = u64> {
+    shards: Vec<Mutex<Shard<V, K>>>,
     shard_budget: usize,
     hits: AtomicU64,
     misses: AtomicU64,
     evictions: AtomicU64,
 }
 
-impl<V> ShardedLru<V> {
+impl<V, K: Hash + Eq + Clone> ShardedLru<V, K> {
     /// A cache bounded by roughly `budget_bytes` of value cost
     /// (per-shard budgets of `budget_bytes / SHARDS`; costs are the
     /// caller-supplied estimates passed to [`ShardedLru::insert`]).
-    pub fn bounded(budget_bytes: usize) -> ShardedLru<V> {
+    pub fn bounded(budget_bytes: usize) -> ShardedLru<V, K> {
         ShardedLru::bounded_with_shards(budget_bytes, SHARDS)
     }
 
@@ -125,7 +129,7 @@ impl<V> ShardedLru<V> {
     /// wants few shards: with the default 16, an entry bigger than
     /// `budget / 16` can never stay resident no matter how much of the
     /// total budget is free.
-    pub fn bounded_with_shards(budget_bytes: usize, shards: usize) -> ShardedLru<V> {
+    pub fn bounded_with_shards(budget_bytes: usize, shards: usize) -> ShardedLru<V, K> {
         assert!(
             shards.is_power_of_two(),
             "shard count must be a power of two"
@@ -140,26 +144,23 @@ impl<V> ShardedLru<V> {
     }
 
     /// An effectively unbounded cache (the pre-service behavior).
-    pub fn unbounded() -> ShardedLru<V> {
+    pub fn unbounded() -> ShardedLru<V, K> {
         ShardedLru::bounded(usize::MAX)
     }
 
-    fn shard(&self, key: u64) -> &Mutex<Shard<V>> {
-        // The low bits of an FxHasher digest are well mixed.
-        &self.shards[(key as usize) & (self.shards.len() - 1)]
+    fn shard(&self, key: &K) -> &Mutex<Shard<V, K>> {
+        let mut h = FxHasher::default();
+        key.hash(&mut h);
+        &self.shards[(h.finish() as usize) & (self.shards.len() - 1)]
     }
 
     /// Look up `key`, refreshing its recency. Counts a hit or a miss.
-    pub fn get(&self, key: u64) -> Option<Arc<V>> {
-        let mut shard = self.shard(key).lock().unwrap();
-        if shard.slots.contains_key(&key) {
-            shard.touch(key);
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            Some(Arc::clone(&shard.slots[&key].value))
-        } else {
+    pub fn get(&self, key: &K) -> Option<Arc<V>> {
+        let found = self.peek(key);
+        if found.is_none() {
             self.misses.fetch_add(1, Ordering::Relaxed);
-            None
         }
+        found
     }
 
     /// Look up `key`, refreshing its recency on a hit — but recording
@@ -167,15 +168,12 @@ impl<V> ShardedLru<V> {
     /// event loop checks the response cache before queueing a worker
     /// job): on a miss the worker's own `get` counts it, so counting
     /// here too would double every miss.
-    pub fn peek(&self, key: u64) -> Option<Arc<V>> {
-        let mut shard = self.shard(key).lock().unwrap();
-        if shard.slots.contains_key(&key) {
-            shard.touch(key);
+    pub fn peek(&self, key: &K) -> Option<Arc<V>> {
+        let found = self.shard(key).lock().unwrap().touch(key);
+        if found.is_some() {
             self.hits.fetch_add(1, Ordering::Relaxed);
-            Some(Arc::clone(&shard.slots[&key].value))
-        } else {
-            None
         }
+        found
     }
 
     /// Insert `value` under `key` with an approximate byte `cost`,
@@ -183,15 +181,14 @@ impl<V> ShardedLru<V> {
     /// keeps the resident value (all cached computations are
     /// deterministic, so both are identical); the resident `Arc` is
     /// returned either way.
-    pub fn insert(&self, key: u64, value: Arc<V>, cost: usize) -> Arc<V> {
-        let mut shard = self.shard(key).lock().unwrap();
-        if shard.slots.contains_key(&key) {
-            shard.touch(key);
-            return Arc::clone(&shard.slots[&key].value);
+    pub fn insert(&self, key: K, value: Arc<V>, cost: usize) -> Arc<V> {
+        let mut shard = self.shard(&key).lock().unwrap();
+        if let Some(resident) = shard.touch(&key) {
+            return resident;
         }
         shard.tick += 1;
         let tick = shard.tick;
-        shard.recency.insert(tick, key);
+        shard.recency.insert(tick, key.clone());
         shard.used_bytes += cost;
         shard.slots.insert(
             key,
@@ -214,11 +211,11 @@ impl<V> ShardedLru<V> {
     /// value wins).
     pub fn get_or_insert_with(
         &self,
-        key: u64,
+        key: K,
         cost: impl FnOnce(&V) -> usize,
         build: impl FnOnce() -> V,
     ) -> Arc<V> {
-        if let Some(found) = self.get(key) {
+        if let Some(found) = self.get(&key) {
             return found;
         }
         let value = Arc::new(build());
@@ -402,7 +399,7 @@ impl SimCache {
 
     /// Look up a report by its [`sim_key`].
     pub fn get(&self, key: u64) -> Option<Arc<SimReport>> {
-        self.map.get(key)
+        self.map.get(&key)
     }
 
     /// Store the report simulated for `key`. Racing duplicate inserts are
@@ -536,7 +533,7 @@ impl RunCaches {
 
     /// Look up a memoized faulted run.
     pub fn faulted_get(&self, key: u64) -> Option<Arc<(SimReport, FaultCounters)>> {
-        self.faults.get(key)
+        self.faults.get(&key)
     }
 
     /// Store a faulted run (report + counters) under its faulted
@@ -734,15 +731,15 @@ mod tests {
         lru.insert(k(1), Arc::new(1), 100);
         lru.insert(k(2), Arc::new(2), 100); // evicts k(1)
         assert_eq!(lru.evictions(), 1);
-        assert!(lru.get(k(1)).is_none());
-        assert!(lru.get(k(2)).is_some());
+        assert!(lru.get(&k(1)).is_none());
+        assert!(lru.get(&k(2)).is_some());
         // Touch k(2), insert k(3): k(2) is most recent, k(3) resident,
         // then inserting k(4) evicts k(3) (the least recently used).
         lru.insert(k(3), Arc::new(3), 100);
-        assert!(lru.get(k(3)).is_some());
+        assert!(lru.get(&k(3)).is_some());
         lru.insert(k(4), Arc::new(4), 100);
-        assert!(lru.get(k(3)).is_none(), "LRU entry must be evicted");
-        assert!(lru.get(k(4)).is_some());
+        assert!(lru.get(&k(3)).is_none(), "LRU entry must be evicted");
+        assert!(lru.get(&k(4)).is_some());
     }
 
     #[test]

@@ -10,6 +10,7 @@ use flo_json::Json;
 use flo_obs::{FaultCounters, MetricsObserver};
 use flo_parallel::ThreadMapping;
 use flo_sim::policies::karma::{KarmaHints, RangeHint};
+use flo_sim::FileId;
 use flo_sim::{
     simulate, simulate_faulted, simulate_faulted_observed, simulate_observed, simulate_sweep,
     simulate_sweep_observed, FaultPlan, FaultState, PolicyKind, RunConfig, SimReport,
@@ -78,60 +79,79 @@ pub struct RunOverrides {
 /// localized layouts shrink the per-I/O-node footprints, letting more hot
 /// ranges into the upper partitions (§5.4).
 pub fn karma_hints(traces: &[ThreadTrace], topo: &Topology) -> KarmaHints {
-    // One flat (group, file, block, weight) image of the trace, sorted
-    // twice: distinct-block counts and access sums fall out of linear
-    // scans, with no per-file hash sets rebuilt on every call.
-    let total: usize = traces.iter().map(|t| t.entries.len()).sum();
-    let mut entries: Vec<(u32, u32, u64, u64)> = Vec::with_capacity(total);
+    /// Distinct blocks (one bit each) and accesses of one file.
+    #[derive(Clone)]
+    struct Tally {
+        seen: Vec<u64>,
+        blocks: u64,
+        accesses: u64,
+    }
+    impl Tally {
+        /// Mark block `index` seen; true when it was not yet.
+        #[inline]
+        fn first_sight(&mut self, index: u64) -> bool {
+            let (word, bit) = ((index >> 6) as usize, 1u64 << (index & 63));
+            let fresh = self.seen[word] & bit == 0;
+            self.seen[word] |= bit;
+            self.blocks += u64::from(fresh);
+            fresh
+        }
+    }
+    // Each file's bitsets span its largest block index.
+    let mut words: Vec<usize> = Vec::new();
+    for e in traces.iter().flat_map(|t| &t.entries) {
+        let f = e.block.file as usize;
+        if f >= words.len() {
+            words.resize(f + 1, 0);
+        }
+        words[f] = words[f].max((e.block.index >> 6) as usize + 1);
+    }
+    let tallies = || -> Vec<Tally> {
+        words
+            .iter()
+            .map(|&w| Tally {
+                seen: vec![0; w],
+                blocks: 0,
+                accesses: 0,
+            })
+            .collect()
+    };
+    let mut global = tallies();
+    let mut groups = vec![tallies(); topo.io_nodes];
     for tr in traces {
-        let g = topo.io_node_of_compute(tr.compute_node) as u32;
+        let group = &mut groups[topo.io_node_of_compute(tr.compute_node)];
         for e in &tr.entries {
-            entries.push((g, e.block.file, e.block.index, e.count as u64));
-        }
-    }
-    // Global ranges: group-blind, so a block shared by several I/O-node
-    // groups counts once.
-    entries.sort_unstable_by_key(|&(_, f, i, _)| (f, i));
-    let mut triples: Vec<(u32, u64, u64)> = Vec::new();
-    let mut at = 0;
-    while at < entries.len() {
-        let file = entries[at].1;
-        let (mut blocks, mut accesses, mut last) = (0u64, 0u64, None);
-        while at < entries.len() && entries[at].1 == file {
-            let (_, _, index, count) = entries[at];
-            if last != Some(index) {
-                blocks += 1;
-                last = Some(index);
+            let t = &mut group[e.block.file as usize];
+            t.accesses += e.count as u64;
+            // A block already in this group's set is already in the
+            // global one; global ranges are group-blind, so a block
+            // shared by several I/O-node groups counts once there.
+            if t.first_sight(e.block.index) {
+                global[e.block.file as usize].first_sight(e.block.index);
             }
-            accesses += count;
-            at += 1;
         }
-        triples.push((file, blocks, accesses));
     }
-    let mut hints = KarmaHints::from_triples(&triples);
-    // Per-I/O-node ranges: the same scan per (group, file) run.
-    entries.sort_unstable_by_key(|&(g, f, i, _)| (g, f, i));
-    hints.group_ranges = vec![Vec::new(); topo.io_nodes];
-    let mut at = 0;
-    while at < entries.len() {
-        let (group, file) = (entries[at].0, entries[at].1);
-        let (mut blocks, mut accesses, mut last) = (0u64, 0u64, None);
-        while at < entries.len() && entries[at].0 == group && entries[at].1 == file {
-            let (_, _, index, count) = entries[at];
-            if last != Some(index) {
-                blocks += 1;
-                last = Some(index);
-            }
-            accesses += count;
-            at += 1;
+    let ranges = |tallies: &[Tally]| -> Vec<RangeHint> {
+        tallies
+            .iter()
+            .enumerate()
+            .filter(|(_, t)| t.blocks > 0)
+            .map(|(file, t)| RangeHint {
+                file: file as FileId,
+                num_blocks: t.blocks,
+                accesses: t.accesses,
+            })
+            .collect()
+    };
+    for group in &groups {
+        for (g, t) in global.iter_mut().zip(group) {
+            g.accesses += t.accesses;
         }
-        hints.group_ranges[group as usize].push(RangeHint {
-            file,
-            num_blocks: blocks,
-            accesses,
-        });
     }
-    hints
+    KarmaHints {
+        ranges: ranges(&global),
+        group_ranges: groups.iter().map(|g| ranges(g)).collect(),
+    }
 }
 
 /// Everything a run needs before trace generation: the layouts and
@@ -441,7 +461,9 @@ pub fn run_app_cached(
 }
 
 /// Normalized execution time of `scheme` against the `Default` scheme on
-/// the same topology and policy.
+/// the same topology and policy. The two runs share nothing, so they run
+/// concurrently when at least two workers are available (in sequence
+/// otherwise); the result does not depend on which.
 pub fn normalized_exec(
     workload: &Workload,
     topo: &Topology,
@@ -449,13 +471,18 @@ pub fn normalized_exec(
     scheme: Scheme,
     overrides: &RunOverrides,
 ) -> Result<f64, BenchError> {
-    let base = run_app(workload, topo, policy, Scheme::Default, overrides)?;
-    let opt = run_app(workload, topo, policy, scheme, overrides)?;
-    Ok(opt.exec_ms() / base.exec_ms())
+    let schemes = [Scheme::Default, scheme];
+    let exec: Vec<f64> = flo_parallel::parallel_map_indexed(2, |i| {
+        run_app(workload, topo, policy, schemes[i], overrides).map(|o| o.exec_ms())
+    })
+    .into_iter()
+    .collect::<Result<_, _>>()?;
+    Ok(exec[1] / exec[0])
 }
 
 /// [`normalized_exec`] with trace and simulation memoization for both
-/// runs.
+/// runs. The runs stay sequential: callers already fan out over the
+/// suite, and the two runs can share memo entries.
 pub fn normalized_exec_cached(
     caches: &RunCaches,
     workload: &Workload,
@@ -690,6 +717,133 @@ mod tests {
             assert!(r.num_blocks > 0);
             assert!(r.accesses > 0);
         }
+    }
+
+    /// The sort-based hint builder the bitset tally replaced: one flat
+    /// (group, file, block, weight) image of the trace, sorted twice.
+    fn karma_hints_by_sorting(traces: &[ThreadTrace], topo: &Topology) -> KarmaHints {
+        let mut entries: Vec<(u32, u32, u64, u64)> = Vec::new();
+        for tr in traces {
+            let g = topo.io_node_of_compute(tr.compute_node) as u32;
+            for e in &tr.entries {
+                entries.push((g, e.block.file, e.block.index, e.count as u64));
+            }
+        }
+        // (file, blocks, accesses) per run of equal `key`, where `entries`
+        // is sorted by (key, block).
+        fn runs(
+            entries: &[(u32, u32, u64, u64)],
+            key: impl Fn(&(u32, u32, u64, u64)) -> (u32, u32),
+        ) -> Vec<((u32, u32), u64, u64)> {
+            let mut out: Vec<((u32, u32), u64, u64)> = Vec::new();
+            let mut last = None;
+            for e in entries {
+                let k = key(e);
+                if out.last().map(|r| r.0) != Some(k) {
+                    out.push((k, 0, 0));
+                    last = None;
+                }
+                let run = out.last_mut().unwrap();
+                if last != Some(e.2) {
+                    run.1 += 1;
+                    last = Some(e.2);
+                }
+                run.2 += e.3;
+            }
+            out
+        }
+        entries.sort_unstable_by_key(|&(_, f, i, _)| (f, i));
+        let triples: Vec<(u32, u64, u64)> = runs(&entries, |e| (0, e.1))
+            .into_iter()
+            .map(|((_, f), b, a)| (f, b, a))
+            .collect();
+        let mut hints = KarmaHints::from_triples(&triples);
+        entries.sort_unstable_by_key(|&(g, f, i, _)| (g, f, i));
+        hints.group_ranges = vec![Vec::new(); topo.io_nodes];
+        for ((g, file), num_blocks, accesses) in runs(&entries, |e| (e.0, e.1)) {
+            hints.group_ranges[g as usize].push(RangeHint {
+                file,
+                num_blocks,
+                accesses,
+            });
+        }
+        hints
+    }
+
+    #[test]
+    fn karma_hints_match_sorting_reference_on_the_suite() {
+        let topo = small_topo();
+        for w in flo_workloads::all(Scale::Small) {
+            for scheme in [Scheme::Default, Scheme::Inter] {
+                let p = prepare_run(&w, &topo, scheme, &RunOverrides::default()).unwrap();
+                let traces = generate_traces(&w.program, &p.cfg, &p.layouts, &topo);
+                assert_eq!(
+                    karma_hints(&traces, &topo),
+                    karma_hints_by_sorting(&traces, &topo),
+                    "{} {}",
+                    w.name,
+                    scheme.name()
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn karma_hints_count_a_block_shared_across_groups_once_globally() {
+        // Compute nodes 0 and 7 sit behind different I/O nodes.
+        let topo = small_topo();
+        let g1 = topo.io_node_of_compute(7);
+        assert_ne!(topo.io_node_of_compute(0), g1);
+        let trace = |thread, node, blocks: &[(u32, u64, u32)]| {
+            let mut t = ThreadTrace::new(thread, node);
+            for &(file, index, count) in blocks {
+                t.push_run(flo_sim::BlockAddr::new(file, index), count);
+            }
+            t
+        };
+        let traces = vec![
+            trace(0, 0, &[(0, 5, 2), (0, 5, 1), (2, 64, 3), (0, 130, 1)]),
+            trace(1, 7, &[(0, 5, 4), (2, 63, 1), (2, 64, 1)]),
+            trace(2, 0, &[(2, 0, 7)]),
+        ];
+        let hints = karma_hints(&traces, &topo);
+        assert_eq!(hints, karma_hints_by_sorting(&traces, &topo));
+        let file0 = hints.ranges[0];
+        assert_eq!((file0.file, file0.num_blocks, file0.accesses), (0, 2, 8));
+        let file2 = hints.ranges[1];
+        assert_eq!((file2.file, file2.num_blocks, file2.accesses), (2, 3, 12));
+        assert_eq!(hints.group_ranges.len(), topo.io_nodes);
+        assert_eq!(hints.group_ranges[g1][0].num_blocks, 1);
+        assert!(karma_hints(&[], &topo).ranges.is_empty());
+    }
+
+    #[test]
+    fn normalized_exec_is_the_ratio_of_two_runs() {
+        let topo = small_topo();
+        let ov = RunOverrides::default();
+        for app in ["qio", "swim", "mgrid"] {
+            let w = by_name(app, Scale::Small).unwrap();
+            for policy in [
+                PolicyKind::LruInclusive,
+                PolicyKind::Karma,
+                PolicyKind::DemoteLru,
+            ] {
+                let base = run_app(&w, &topo, policy, Scheme::Default, &ov).unwrap();
+                let opt = run_app(&w, &topo, policy, Scheme::Inter, &ov).unwrap();
+                let norm = normalized_exec(&w, &topo, policy, Scheme::Inter, &ov).unwrap();
+                assert_eq!(
+                    norm.to_bits(),
+                    (opt.exec_ms() / base.exec_ms()).to_bits(),
+                    "{app} {}",
+                    policy.name()
+                );
+            }
+        }
+        let mut bad = topo;
+        bad.storage_nodes = 0;
+        let w = by_name("qio", Scale::Small).unwrap();
+        let err = normalized_exec(&w, &bad, PolicyKind::Karma, Scheme::Inter, &ov).unwrap_err();
+        assert!(err.to_string().contains("invalid topology"), "{err}");
     }
 
     #[test]

@@ -74,12 +74,13 @@ pub struct Service {
     pub caches: RunCaches,
     /// Rendered `layout` results keyed by (app, scale, target).
     layouts: ShardedLru<Json>,
-    /// Serialized result bytes keyed by the whole request: a warm hit
-    /// skips JSON re-serialization entirely (the daemon splices these
-    /// bytes straight into the response frame). Safe for exactly the
-    /// reason the other caches are — execution is deterministic, so the
-    /// bytes are a pure function of the request.
-    responses: ShardedLru<Vec<u8>>,
+    /// Serialized result bytes keyed by the whole request (its canonical
+    /// rendering, compared in full on every hit): a warm hit skips JSON
+    /// re-serialization entirely (the daemon splices these bytes
+    /// straight into the response frame). Safe for exactly the reason
+    /// the other caches are — execution is deterministic, so the bytes
+    /// are a pure function of the request.
+    responses: ShardedLru<Vec<u8>, String>,
     /// Latest measured store-replay point per (app, policy), rendered:
     /// the telemetry `store` panel `flotop` shows next to simulated
     /// predictions. A replaced entry keeps its slot, so the panel stays
@@ -89,7 +90,7 @@ pub struct Service {
     /// duplicate arriving while the leader runs (a client hedge, a
     /// failover replay) waits for the leader's bytes instead of burning
     /// a worker on the same deterministic computation.
-    inflight: Mutex<HashMap<u64, Arc<Flight>>>,
+    inflight: Mutex<HashMap<String, Arc<Flight>>>,
     /// Work computations actually run (cache misses that executed).
     executions: AtomicU64,
     /// Duplicates absorbed by the single-flight table.
@@ -182,12 +183,12 @@ impl Service {
         &self,
         req: &Request,
     ) -> (Result<Arc<Vec<u8>>, ServeError>, &'static str) {
-        let key = match Self::response_key(req) {
+        let key = match crate::protocol::work_key(req) {
             // Control requests: dynamic, never cached, never deduped.
             None => return (self.compute_bytes(req, None), "miss"),
             Some(key) => key,
         };
-        if let Some(hit) = self.responses.get(key) {
+        if let Some(hit) = self.responses.get(&key) {
             return (Ok(hit), "warm");
         }
         // Single-flight: exactly one thread computes a given work key at
@@ -199,7 +200,7 @@ impl Service {
                 Some(f) => (Arc::clone(f), false),
                 None => {
                     let f = Arc::new(Flight::default());
-                    map.insert(key, Arc::clone(&f));
+                    map.insert(key.clone(), Arc::clone(&f));
                     (f, true)
                 }
             }
@@ -208,7 +209,7 @@ impl Service {
             self.dedups.fetch_add(1, Ordering::Relaxed);
             return (flight.wait(), "dedup");
         }
-        let result = self.compute_bytes(req, Some(key));
+        let result = self.compute_bytes(req, Some(key.clone()));
         // Retire the flight *before* publishing: compute_bytes already
         // inserted the bytes into the response cache, so a request
         // arriving after removal takes the warm path, and one that
@@ -221,12 +222,17 @@ impl Service {
 
     /// Execute `req` and (for work requests, `key = Some`) retain the
     /// serialized bytes in the response cache.
-    fn compute_bytes(&self, req: &Request, key: Option<u64>) -> Result<Arc<Vec<u8>>, ServeError> {
+    fn compute_bytes(
+        &self,
+        req: &Request,
+        key: Option<String>,
+    ) -> Result<Arc<Vec<u8>>, ServeError> {
         self.executions.fetch_add(1, Ordering::Relaxed);
         let bytes = Arc::new(self.execute(req)?.to_string().into_bytes());
         Ok(match key {
             Some(key) => {
-                let cost = bytes.len();
+                // The key is held twice: by its slot and in the LRU order.
+                let cost = bytes.len() + 2 * key.len();
                 self.responses.insert(key, bytes, cost)
             }
             None => bytes,
@@ -245,24 +251,13 @@ impl Service {
         self.dedups.load(Ordering::Relaxed)
     }
 
-    /// The response-cache key for a work request: an `FxHasher` digest
-    /// of the canonical request rendering — the same string the cluster
-    /// hash-ring routes by, so one node's response cache is exactly the
-    /// cache of its owned key range. `None` for control requests.
-    fn response_key(req: &Request) -> Option<u64> {
-        let canonical = crate::protocol::work_key(req)?;
-        let mut h = flo_sim::FxHasher::default();
-        canonical.hash(&mut h);
-        Some(h.finish())
-    }
-
     /// The already-rendered response bytes for a work request, if
     /// resident. This is the event loop's inline fast path: a probe
     /// only, nothing executes, and a miss records no counter (the
     /// worker's [`Service::execute_bytes`] counts it when the job
     /// actually runs).
     pub fn cached_response_bytes(&self, req: &Request) -> Option<Arc<Vec<u8>>> {
-        self.responses.peek(Self::response_key(req)?)
+        self.responses.peek(&crate::protocol::work_key(req)?)
     }
 
     /// Cache counters (the server's `stats` response adds queue state).
@@ -304,7 +299,7 @@ impl Service {
         let mut h = std::collections::hash_map::DefaultHasher::new();
         (app, scale_name(scale), target_name(target)).hash(&mut h);
         let key = h.finish();
-        if let Some(hit) = self.layouts.get(key) {
+        if let Some(hit) = self.layouts.get(&key) {
             return Ok((*hit).clone());
         }
         let topo = topology_for(scale);
@@ -578,6 +573,90 @@ mod tests {
             n - 1,
             svc.dedups()
         );
+    }
+
+    /// Two `simulate` requests whose canonical renderings differ only in
+    /// the fault seed, yet share one 64-bit `FxHasher` digest.
+    fn colliding_pair() -> (Request, Request) {
+        let faulted = |seed| Request::Simulate {
+            app: "hf".into(),
+            scale: Scale::Small,
+            scheme: Scheme::Inter,
+            policy: PolicyKind::LruInclusive,
+            fault: Some(FaultSpec {
+                seed,
+                intensity: 1.0,
+            }),
+        };
+        let (a, b) = (faulted(1103119400311585), faulted(1103119400319885));
+        let key = |r: &Request| crate::protocol::work_key(r).unwrap();
+        let digest = |r: &Request| {
+            let mut h = flo_sim::FxHasher::default();
+            key(r).hash(&mut h);
+            h.finish()
+        };
+        assert_ne!(key(&a), key(&b));
+        assert_eq!(digest(&a), digest(&b), "the pair must collide");
+        (a, b)
+    }
+
+    #[test]
+    fn colliding_requests_each_execute_once_and_stay_warm() {
+        let svc = Service::with_budget(64 << 20);
+        let (a, b) = colliding_pair();
+        let direct = |r: &Request| svc.execute(r).unwrap().to_string().into_bytes();
+        let (want_a, want_b) = (direct(&a), direct(&b));
+        assert_ne!(want_a, want_b, "distinct fault seeds, distinct answers");
+        let base = svc.executions();
+        let (got_a, how_a) = svc.execute_bytes_probed(&a);
+        assert_eq!((got_a.unwrap().as_slice(), how_a), (&want_a[..], "miss"));
+        assert!(
+            svc.cached_response_bytes(&b).is_none(),
+            "no hit on a's bytes"
+        );
+        let (got_b, how_b) = svc.execute_bytes_probed(&b);
+        assert_eq!((got_b.unwrap().as_slice(), how_b), (&want_b[..], "miss"));
+        assert_eq!(svc.executions(), base + 2);
+        for _ in 0..2 {
+            for (req, want) in [(&a, &want_a), (&b, &want_b)] {
+                let (got, how) = svc.execute_bytes_probed(req);
+                assert_eq!((got.unwrap().as_slice(), how), (&want[..], "warm"));
+                assert_eq!(
+                    svc.cached_response_bytes(req).unwrap().as_slice(),
+                    &want[..]
+                );
+            }
+        }
+        assert_eq!(svc.executions(), base + 2, "both stay resident");
+    }
+
+    #[test]
+    fn colliding_requests_in_flight_together_both_lead() {
+        let svc = Service::with_budget(64 << 20);
+        let (a, b) = colliding_pair();
+        let barrier = std::sync::Barrier::new(2);
+        let outcomes: Vec<(Vec<u8>, &str)> = std::thread::scope(|s| {
+            let handles: Vec<_> = [&a, &b]
+                .into_iter()
+                .map(|req| {
+                    let (svc, barrier) = (&svc, &barrier);
+                    s.spawn(move || {
+                        barrier.wait();
+                        let (bytes, how) = svc.execute_bytes_probed(req);
+                        ((*bytes.unwrap()).clone(), how)
+                    })
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        });
+        for ((bytes, how), req) in outcomes.iter().zip([&a, &b]) {
+            assert_eq!(
+                *how, "miss",
+                "a colliding key must not join the other's flight"
+            );
+            assert_eq!(bytes, &svc.execute(req).unwrap().to_string().into_bytes());
+        }
+        assert_eq!((svc.executions(), svc.dedups()), (2, 0));
     }
 
     #[test]

@@ -1,24 +1,19 @@
-//! The LRU cache core shared by all policies.
+//! The cache structures every policy is built from.
 //!
-//! [`LruCore`] is a fixed-capacity set of [`BlockAddr`]s with O(1) lookup,
-//! promotion, insertion and eviction, implemented as a slab-backed
-//! intrusive doubly-linked list (MRU at the head) indexed by a hash map —
-//! or, for the small per-set cores a [`SetAssocCache`] is made of, by a
-//! bitmask-guided linear scan that skips hashing altogether. The three
-//! hierarchy policies (inclusive LRU, DEMOTE-LRU, KARMA) differ only in
-//! *when* they insert/remove/demote — they all reuse this core.
+//! [`SetAssocCache`] is the set-associative LRU cache real storage caches
+//! use: each set is a flat MRU-first array with a per-set length, so a
+//! lookup scans at most `ways` keys and a promotion or fill is a short
+//! in-place shift. [`LruCore`] is a fixed-capacity LRU set with O(1)
+//! lookup, promotion, insertion and eviction (a slab-backed intrusive
+//! doubly-linked list, MRU at the head, indexed by a hash map); it backs
+//! MQ's frequency queues. The hierarchy policies (inclusive LRU,
+//! DEMOTE-LRU, KARMA) differ only in *when* they insert/remove/demote —
+//! they all reuse these caches.
 
 use crate::block::BlockAddr;
 use crate::fxhash::FxHashMap;
 
 const NIL: usize = usize::MAX;
-
-/// Capacity at or below which the core drops the hash map entirely and
-/// finds blocks by scanning the slab under an occupancy bitmask. The
-/// set-associative caches run 8-way sets; at that size a branch-free
-/// scan of at most `capacity` slots beats computing a hash, and the
-/// recency lists are untouched, so behavior is bit-identical.
-const SMALL_CAP: usize = 64;
 
 #[derive(Clone, Debug)]
 struct Node {
@@ -56,19 +51,25 @@ impl CacheStats {
         self.accesses += other.accesses;
         self.hits += other.hits;
     }
+
+    /// Count a lookup on behalf of `weight` coalesced element accesses.
+    /// All `weight` accesses count as hits when the block was resident;
+    /// on a miss, the first element access is the miss and the remaining
+    /// `weight − 1` are served from the freshly fetched block (hits).
+    #[inline]
+    fn record(&mut self, hit: bool, weight: u32) {
+        debug_assert!(weight >= 1);
+        self.accesses += weight as u64;
+        self.hits += weight as u64 - u64::from(!hit);
+    }
 }
 
 /// A fixed-capacity LRU set of blocks.
 #[derive(Clone, Debug)]
 pub struct LruCore {
     capacity: usize,
-    /// Block → slab index; unused (empty) when `capacity <= SMALL_CAP`.
+    /// Block → slab index.
     map: FxHashMap<BlockAddr, usize>,
-    /// Small-mode occupancy bitmask over `nodes` (bit i ⇔ slot i live).
-    occupied: u64,
-    /// Small-mode copy of each slot's block, kept contiguous so lookups
-    /// scan 16-byte keys instead of the pointer-laden `Node` slab.
-    keys: Vec<BlockAddr>,
     nodes: Vec<Node>,
     free: Vec<usize>,
     head: usize, // MRU
@@ -80,66 +81,14 @@ impl LruCore {
     /// An empty cache holding at most `capacity` blocks.
     pub fn new(capacity: usize) -> LruCore {
         assert!(capacity > 0, "LruCore: zero capacity");
-        let map_slots = if capacity <= SMALL_CAP {
-            0
-        } else {
-            capacity + 1
-        };
         LruCore {
             capacity,
-            map: FxHashMap::with_capacity_and_hasher(map_slots, Default::default()),
-            occupied: 0,
-            keys: Vec::new(),
+            map: FxHashMap::with_capacity_and_hasher(capacity + 1, Default::default()),
             nodes: Vec::with_capacity(capacity),
             free: Vec::new(),
             head: NIL,
             tail: NIL,
             stats: CacheStats::default(),
-        }
-    }
-
-    #[inline]
-    fn is_small(&self) -> bool {
-        self.capacity <= SMALL_CAP
-    }
-
-    /// Slab index of `block` if resident.
-    #[inline]
-    fn lookup(&self, block: BlockAddr) -> Option<usize> {
-        if self.is_small() {
-            for (i, &k) in self.keys.iter().enumerate() {
-                if k == block && (self.occupied >> i) & 1 == 1 {
-                    return Some(i);
-                }
-            }
-            None
-        } else {
-            self.map.get(&block).copied()
-        }
-    }
-
-    /// Record that slab slot `idx` now holds `block`.
-    #[inline]
-    fn register(&mut self, block: BlockAddr, idx: usize) {
-        if self.is_small() {
-            self.occupied |= 1 << idx;
-            if idx == self.keys.len() {
-                self.keys.push(block);
-            } else {
-                self.keys[idx] = block;
-            }
-        } else {
-            self.map.insert(block, idx);
-        }
-    }
-
-    /// Record that slab slot `idx` (holding `block`) was vacated.
-    #[inline]
-    fn unregister(&mut self, block: BlockAddr, idx: usize) {
-        if self.is_small() {
-            self.occupied &= !(1 << idx);
-        } else {
-            self.map.remove(&block);
         }
     }
 
@@ -150,21 +99,17 @@ impl LruCore {
 
     /// Current number of resident blocks.
     pub fn len(&self) -> usize {
-        if self.is_small() {
-            self.occupied.count_ones() as usize
-        } else {
-            self.map.len()
-        }
+        self.map.len()
     }
 
     /// Whether no block is resident.
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        self.map.is_empty()
     }
 
     /// Whether `block` is resident (does not touch recency or stats).
     pub fn contains(&self, block: BlockAddr) -> bool {
-        self.lookup(block).is_some()
+        self.map.contains_key(&block)
     }
 
     /// Look up `block`, recording a hit or miss; on hit the block becomes
@@ -179,17 +124,13 @@ impl LruCore {
     /// `weight − 1` are served from the freshly fetched block (hits).
     /// Returns `true` when the block was resident.
     pub fn access_weighted(&mut self, block: BlockAddr, weight: u32) -> bool {
-        debug_assert!(weight >= 1);
-        self.stats.accesses += weight as u64;
-        if let Some(idx) = self.lookup(block) {
-            self.stats.hits += weight as u64;
+        let found = self.map.get(&block).copied();
+        self.stats.record(found.is_some(), weight);
+        if let Some(idx) = found {
             self.unlink(idx);
             self.push_front(idx);
-            true
-        } else {
-            self.stats.hits += weight as u64 - 1;
-            false
         }
+        found.is_some()
     }
 
     /// Insert `block` as MRU (no stats recorded — insertion follows a miss
@@ -197,35 +138,12 @@ impl LruCore {
     /// the LRU block is evicted and returned. Inserting a resident block
     /// just promotes it.
     pub fn insert(&mut self, block: BlockAddr) -> Option<BlockAddr> {
-        if let Some(idx) = self.lookup(block) {
+        if let Some(&idx) = self.map.get(&block) {
             self.unlink(idx);
             self.push_front(idx);
             return None;
         }
-        let evicted = if self.len() == self.capacity {
-            self.pop_lru()
-        } else {
-            None
-        };
-        let idx = match self.free.pop() {
-            Some(i) => {
-                self.nodes[i] = Node {
-                    block,
-                    prev: NIL,
-                    next: NIL,
-                };
-                i
-            }
-            None => {
-                self.nodes.push(Node {
-                    block,
-                    prev: NIL,
-                    next: NIL,
-                });
-                self.nodes.len() - 1
-            }
-        };
-        self.register(block, idx);
+        let (idx, evicted) = self.claim_slot(block);
         self.push_front(idx);
         evicted
     }
@@ -234,80 +152,47 @@ impl LruCore {
     /// where a block should be first in line for eviction). Returns the
     /// evicted block if the cache was full.
     pub fn insert_lru(&mut self, block: BlockAddr) -> Option<BlockAddr> {
-        if let Some(idx) = self.lookup(block) {
+        if let Some(&idx) = self.map.get(&block) {
             // Already resident: move to LRU end.
             self.unlink(idx);
             self.push_back(idx);
             return None;
         }
-        let evicted = if self.len() == self.capacity {
-            self.pop_lru()
-        } else {
-            None
-        };
-        let idx = match self.free.pop() {
-            Some(i) => {
-                self.nodes[i] = Node {
-                    block,
-                    prev: NIL,
-                    next: NIL,
-                };
-                i
-            }
-            None => {
-                self.nodes.push(Node {
-                    block,
-                    prev: NIL,
-                    next: NIL,
-                });
-                self.nodes.len() - 1
-            }
-        };
-        self.register(block, idx);
+        let (idx, evicted) = self.claim_slot(block);
         self.push_back(idx);
         evicted
     }
 
-    /// Insert a block the caller just observed missing — skips the
-    /// residency probe [`insert`](Self::insert) pays. Only valid straight
-    /// after a miss on this core with no intervening mutation.
-    pub(crate) fn insert_absent(&mut self, block: BlockAddr) -> Option<BlockAddr> {
-        debug_assert!(
-            self.lookup(block).is_none(),
-            "insert_absent: block resident"
-        );
+    /// Make room for absent `block` (evicting the LRU block when full)
+    /// and register it in an unlinked slab slot.
+    fn claim_slot(&mut self, block: BlockAddr) -> (usize, Option<BlockAddr>) {
         let evicted = if self.len() == self.capacity {
             self.pop_lru()
         } else {
             None
         };
+        let node = Node {
+            block,
+            prev: NIL,
+            next: NIL,
+        };
         let idx = match self.free.pop() {
             Some(i) => {
-                self.nodes[i] = Node {
-                    block,
-                    prev: NIL,
-                    next: NIL,
-                };
+                self.nodes[i] = node;
                 i
             }
             None => {
-                self.nodes.push(Node {
-                    block,
-                    prev: NIL,
-                    next: NIL,
-                });
+                self.nodes.push(node);
                 self.nodes.len() - 1
             }
         };
-        self.register(block, idx);
-        self.push_front(idx);
-        evicted
+        self.map.insert(block, idx);
+        (idx, evicted)
     }
 
     /// Remove `block` if resident; returns whether it was present.
     pub fn remove(&mut self, block: BlockAddr) -> bool {
-        if let Some(idx) = self.lookup(block) {
-            self.unregister(block, idx);
+        if let Some(idx) = self.map.remove(&block) {
             self.unlink(idx);
             self.free.push(idx);
             true
@@ -324,7 +209,7 @@ impl LruCore {
         let idx = self.tail;
         let block = self.nodes[idx].block;
         self.unlink(idx);
-        self.unregister(block, idx);
+        self.map.remove(&block);
         self.free.push(idx);
         Some(block)
     }
@@ -402,11 +287,22 @@ impl LruCore {
 /// The set index preserves within-file block adjacency (consecutive blocks
 /// fall into consecutive sets) and offsets different files by a prime
 /// multiplier.
+///
+/// Storage is flat: set `s` owns slots `s·ways .. s·ways + lens[s]` of
+/// the parallel `indices`/`files` arrays, most recently used first, so a
+/// lookup scans one short run of keys and a promotion, fill or removal
+/// shifts part of it in place.
 #[derive(Clone, Debug)]
 pub struct SetAssocCache {
-    sets: Vec<LruCore>,
     ways: usize,
     set_mod: FastMod,
+    /// Block index of every slot, `num_sets × ways`, MRU-first per set.
+    indices: Vec<u64>,
+    /// File of every slot, parallel to `indices`.
+    files: Vec<u32>,
+    /// Resident blocks per set; slots past a set's length are stale.
+    lens: Vec<u32>,
+    stats: CacheStats,
 }
 
 /// Exact `x % n` without a hardware divide: Lemire's fastmod, widened to
@@ -466,15 +362,18 @@ impl SetAssocCache {
     pub fn new(capacity: usize, ways: usize) -> SetAssocCache {
         let (num_sets, ways) = set_geometry(capacity, ways);
         SetAssocCache {
-            sets: (0..num_sets).map(|_| LruCore::new(ways)).collect(),
             ways,
             set_mod: FastMod::new(num_sets as u64),
+            indices: vec![0; num_sets * ways],
+            files: vec![0; num_sets * ways],
+            lens: vec![0; num_sets],
+            stats: CacheStats::default(),
         }
     }
 
     /// Number of sets.
     pub fn num_sets(&self) -> usize {
-        self.sets.len()
+        self.lens.len()
     }
 
     /// Associativity.
@@ -484,17 +383,64 @@ impl SetAssocCache {
 
     /// Total capacity in blocks.
     pub fn capacity(&self) -> usize {
-        self.sets.len() * self.ways
+        self.indices.len()
     }
 
     fn set_of(&self, block: BlockAddr) -> usize {
         self.set_mod.rem(set_hash(block)) as usize
     }
 
-    /// Weighted lookup; see [`LruCore::access_weighted`].
-    pub fn access_weighted(&mut self, block: BlockAddr, weight: u32) -> bool {
+    /// The block's set, that set's first slot, and its resident count.
+    #[inline]
+    fn locate(&self, block: BlockAddr) -> (usize, usize, usize) {
         let s = self.set_of(block);
-        self.sets[s].access_weighted(block, weight)
+        (s, s * self.ways, self.lens[s] as usize)
+    }
+
+    /// Position of `block` within its set's `len` resident slots.
+    #[inline]
+    fn position(&self, base: usize, len: usize, block: BlockAddr) -> Option<usize> {
+        let indices = &self.indices[base..base + len];
+        let files = &self.files[base..base + len];
+        (0..len).find(|&i| indices[i] == block.index && files[i] == block.file)
+    }
+
+    /// Shift slots `from..to` one place towards the LRU end.
+    #[inline]
+    fn shift_down(&mut self, from: usize, to: usize) {
+        self.indices.copy_within(from..to, from + 1);
+        self.files.copy_within(from..to, from + 1);
+    }
+
+    /// Shift slots `from..to` one place towards the MRU end.
+    #[inline]
+    fn shift_up(&mut self, from: usize, to: usize) {
+        self.indices.copy_within(from..to, from - 1);
+        self.files.copy_within(from..to, from - 1);
+    }
+
+    #[inline]
+    fn put(&mut self, slot: usize, block: BlockAddr) {
+        self.indices[slot] = block.index;
+        self.files[slot] = block.file;
+    }
+
+    #[inline]
+    fn block_at(&self, slot: usize) -> BlockAddr {
+        BlockAddr::new(self.files[slot], self.indices[slot])
+    }
+
+    /// Weighted lookup; see [`LruCore::access_weighted`]. On a hit the
+    /// block becomes its set's MRU.
+    pub fn access_weighted(&mut self, block: BlockAddr, weight: u32) -> bool {
+        let (_, base, len) = self.locate(block);
+        let found = self.position(base, len, block);
+        self.stats.record(found.is_some(), weight);
+        if let Some(pos) = found {
+            self.shift_down(base, base + pos);
+            self.put(base, block);
+        }
+        found.is_some()
     }
 
     /// Unweighted lookup.
@@ -503,71 +449,104 @@ impl SetAssocCache {
     }
 
     /// Insert at MRU of the block's set; returns the set's LRU victim if
-    /// the set was full.
+    /// the set was full. Inserting a resident block just promotes it.
     pub fn insert(&mut self, block: BlockAddr) -> Option<BlockAddr> {
-        let s = self.set_of(block);
-        self.sets[s].insert(block)
+        let (_, base, len) = self.locate(block);
+        match self.position(base, len, block) {
+            Some(pos) => {
+                self.shift_down(base, base + pos);
+                self.put(base, block);
+                None
+            }
+            None => self.insert_absent(block),
+        }
     }
 
-    /// Insert a block that just missed in this cache (see
-    /// [`LruCore::insert_absent`]).
+    /// Insert a block the caller just observed missing — skips the
+    /// residency probe [`insert`](Self::insert) pays. Only valid straight
+    /// after a miss on this cache with no intervening mutation.
     pub(crate) fn insert_absent(&mut self, block: BlockAddr) -> Option<BlockAddr> {
-        let s = self.set_of(block);
-        self.sets[s].insert_absent(block)
+        let (s, base, len) = self.locate(block);
+        debug_assert!(
+            self.position(base, len, block).is_none(),
+            "insert_absent: block resident"
+        );
+        let victim = if len == self.ways {
+            Some(self.block_at(base + len - 1))
+        } else {
+            self.lens[s] += 1;
+            None
+        };
+        self.shift_down(base, base + len.min(self.ways - 1));
+        self.put(base, block);
+        victim
     }
 
-    /// Insert at the LRU end of the block's set.
+    /// Insert at the LRU end of the block's set (a resident block moves
+    /// there); returns the set's previous LRU block if the set was full.
     pub fn insert_lru(&mut self, block: BlockAddr) -> Option<BlockAddr> {
-        let s = self.set_of(block);
-        self.sets[s].insert_lru(block)
+        let (s, base, len) = self.locate(block);
+        if let Some(pos) = self.position(base, len, block) {
+            self.shift_up(base + pos + 1, base + len);
+            self.put(base + len - 1, block);
+            return None;
+        }
+        let victim = if len == self.ways {
+            Some(self.block_at(base + len - 1))
+        } else {
+            self.lens[s] += 1;
+            None
+        };
+        self.put(base + len.min(self.ways - 1), block);
+        victim
     }
 
     /// Remove a block if resident.
     pub fn remove(&mut self, block: BlockAddr) -> bool {
-        let s = self.set_of(block);
-        self.sets[s].remove(block)
+        let (s, base, len) = self.locate(block);
+        match self.position(base, len, block) {
+            Some(pos) => {
+                self.shift_up(base + pos + 1, base + len);
+                self.lens[s] -= 1;
+                true
+            }
+            None => false,
+        }
     }
 
     /// Residency check (no stats).
     pub fn contains(&self, block: BlockAddr) -> bool {
-        self.sets[self.set_of(block)].contains(block)
+        let (_, base, len) = self.locate(block);
+        self.position(base, len, block).is_some()
     }
 
     /// Total resident blocks.
     pub fn len(&self) -> usize {
-        self.sets.iter().map(LruCore::len).sum()
+        self.lens.iter().map(|&l| l as usize).sum()
     }
 
     /// Whether the cache is empty.
     pub fn is_empty(&self) -> bool {
-        self.sets.iter().all(LruCore::is_empty)
+        self.lens.iter().all(|&l| l == 0)
     }
 
-    /// Aggregated counters over all sets.
+    /// Counters over all sets.
     pub fn stats(&self) -> CacheStats {
-        let mut s = CacheStats::default();
-        for set in &self.sets {
-            s.merge(&set.stats());
-        }
-        s
+        self.stats
     }
 
     /// Resident blocks per set (`result[s]` = occupancy of set `s`), for
     /// end-of-run occupancy snapshots.
     pub fn set_occupancies(&self) -> Vec<u32> {
-        self.sets.iter().map(|s| s.len() as u32).collect()
+        self.lens.clone()
     }
 
     /// Drop every resident block, keeping the hit/miss counters (a fault
     /// event: a node restart or forced cache flush loses contents, not
     /// statistics). Returns the number of blocks invalidated.
     pub fn invalidate_all(&mut self) -> usize {
-        let mut dropped = 0;
-        for set in &mut self.sets {
-            while set.pop_lru().is_some() {
-                dropped += 1;
-            }
-        }
+        let dropped = self.len();
+        self.lens.fill(0);
         dropped
     }
 
@@ -576,21 +555,19 @@ impl SetAssocCache {
     /// effective capacity. Returns the number of blocks invalidated.
     pub fn invalidate_half(&mut self, parity: usize) -> usize {
         let mut dropped = 0;
-        for (i, set) in self.sets.iter_mut().enumerate() {
-            if i % 2 == parity % 2 {
-                while set.pop_lru().is_some() {
-                    dropped += 1;
-                }
-            }
+        for len in self.lens.iter_mut().skip(parity % 2).step_by(2) {
+            dropped += *len as usize;
+            *len = 0;
         }
         dropped
     }
 
-    /// Resident blocks (test helper).
+    /// Resident blocks, set by set, each set from MRU to LRU (test
+    /// helper).
     pub fn blocks(&self) -> Vec<BlockAddr> {
-        self.sets
-            .iter()
-            .flat_map(LruCore::blocks_mru_to_lru)
+        (0..self.num_sets())
+            .flat_map(|s| s * self.ways..s * self.ways + self.lens[s] as usize)
+            .map(|slot| self.block_at(slot))
             .collect()
     }
 }
@@ -740,8 +717,7 @@ mod tests {
         assert!(large.stats().hits >= small.stats().hits);
     }
 
-    /// Naive LRU oracle: both the bitmask mode (capacity ≤ 64) and the
-    /// hash-map mode (capacity > 64) must match it move for move.
+    /// Naive LRU oracle: the core must match it move for move.
     fn oracle_check(capacity: usize) {
         let mut core = LruCore::new(capacity);
         let mut oracle: Vec<BlockAddr> = Vec::new(); // MRU first
@@ -803,38 +779,146 @@ mod tests {
     }
 
     #[test]
-    fn insert_absent_matches_insert_after_miss() {
-        for capacity in [4usize, 100] {
-            let mut a = LruCore::new(capacity);
-            let mut bb = LruCore::new(capacity);
-            let mut x: u64 = 99;
-            for _ in 0..3000 {
-                x ^= x << 13;
-                x ^= x >> 7;
-                x ^= x << 17;
-                let blk = b(x % (capacity as u64 * 2));
-                let ha = a.access(blk);
-                let hb = bb.access(blk);
-                assert_eq!(ha, hb);
-                if !ha {
-                    assert_eq!(a.insert(blk), bb.insert_absent(blk));
-                }
-            }
-            assert_eq!(a.blocks_mru_to_lru(), bb.blocks_mru_to_lru());
-            assert_eq!(a.stats(), bb.stats());
+    fn lru_core_matches_lru_oracle() {
+        for capacity in [1, 8, 64, 65, 100] {
+            oracle_check(capacity);
         }
     }
 
-    #[test]
-    fn small_mode_matches_lru_oracle() {
-        oracle_check(8); // bitmask mode
-        oracle_check(64); // bitmask mode, full mask width
+    /// A naive set-associative LRU model: one `Vec` per set, MRU first,
+    /// with a linear scan and the hardware modulo for set selection.
+    struct NaiveSetAssoc {
+        sets: Vec<Vec<BlockAddr>>,
+        ways: usize,
+        stats: CacheStats,
     }
 
+    impl NaiveSetAssoc {
+        fn new(capacity: usize, ways: usize) -> NaiveSetAssoc {
+            let ways = ways.min(capacity);
+            NaiveSetAssoc {
+                sets: vec![Vec::new(); (capacity / ways).max(1)],
+                ways,
+                stats: CacheStats::default(),
+            }
+        }
+
+        fn set(&mut self, blk: BlockAddr) -> &mut Vec<BlockAddr> {
+            let n = self.sets.len() as u64;
+            &mut self.sets[((blk.index + blk.file as u64 * 7919) % n) as usize]
+        }
+
+        fn take(&mut self, blk: BlockAddr) -> bool {
+            let set = self.set(blk);
+            match set.iter().position(|&o| o == blk) {
+                Some(p) => {
+                    set.remove(p);
+                    true
+                }
+                None => false,
+            }
+        }
+
+        fn access_weighted(&mut self, blk: BlockAddr, weight: u32) -> bool {
+            let hit = self.take(blk);
+            if hit {
+                self.set(blk).insert(0, blk);
+            }
+            self.stats.accesses += weight as u64;
+            self.stats.hits += if hit {
+                weight as u64
+            } else {
+                weight as u64 - 1
+            };
+            hit
+        }
+
+        fn insert(&mut self, blk: BlockAddr) -> Option<BlockAddr> {
+            let resident = self.take(blk);
+            let ways = self.ways;
+            let set = self.set(blk);
+            set.insert(0, blk);
+            if !resident && set.len() > ways {
+                set.pop()
+            } else {
+                None
+            }
+        }
+
+        fn insert_lru(&mut self, blk: BlockAddr) -> Option<BlockAddr> {
+            let resident = self.take(blk);
+            let ways = self.ways;
+            let set = self.set(blk);
+            let victim = if !resident && set.len() == ways {
+                set.pop()
+            } else {
+                None
+            };
+            set.push(blk);
+            victim
+        }
+
+        fn invalidate(&mut self, keep: impl Fn(usize) -> bool) -> usize {
+            let mut dropped = 0;
+            for (i, set) in self.sets.iter_mut().enumerate() {
+                if !keep(i) {
+                    dropped += set.len();
+                    set.clear();
+                }
+            }
+            dropped
+        }
+    }
+
+    /// The flat sets against the naive model, operation for operation:
+    /// hits, victims, counters, per-set occupancy and MRU order.
     #[test]
-    fn map_mode_matches_lru_oracle() {
-        oracle_check(65); // smallest hash-map-mode capacity
-        oracle_check(100);
+    fn set_assoc_matches_naive_model() {
+        let mut x: u64 = 0x2545_F491_4F6C_DD1D;
+        let mut next = move |n: u64| {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x % n
+        };
+        for capacity in [1usize, 5, 24, 64] {
+            for ways in [1, 2, 3, 8, capacity] {
+                let mut cache = SetAssocCache::new(capacity, ways);
+                let mut model = NaiveSetAssoc::new(capacity, ways);
+                assert_eq!(cache.num_sets(), model.sets.len());
+                for step in 0..3000 {
+                    let blk = BlockAddr::new(next(3) as u32, next(capacity as u64 * 2));
+                    let ctx = format!("capacity {capacity} ways {ways} step {step}");
+                    match next(100) {
+                        0..=39 => {
+                            let w = 1 + next(4) as u32;
+                            let hit = cache.access_weighted(blk, w);
+                            assert_eq!(hit, model.access_weighted(blk, w), "{ctx}");
+                            if !hit && next(2) == 0 {
+                                assert_eq!(cache.insert_absent(blk), model.insert(blk), "{ctx}");
+                            }
+                        }
+                        40..=69 => assert_eq!(cache.insert(blk), model.insert(blk), "{ctx}"),
+                        70..=84 => {
+                            assert_eq!(cache.insert_lru(blk), model.insert_lru(blk), "{ctx}")
+                        }
+                        85..=96 => assert_eq!(cache.remove(blk), model.take(blk), "{ctx}"),
+                        97 => assert_eq!(cache.invalidate_all(), model.invalidate(|_| false)),
+                        _ => {
+                            let p = next(2) as usize;
+                            let dropped = model.invalidate(|i| i % 2 != p);
+                            assert_eq!(cache.invalidate_half(p), dropped, "{ctx}");
+                        }
+                    }
+                    assert_eq!(cache.contains(blk), model.set(blk).contains(&blk), "{ctx}");
+                    assert_eq!(cache.stats(), model.stats, "{ctx}");
+                    let occupancy: Vec<u32> = model.sets.iter().map(|s| s.len() as u32).collect();
+                    assert_eq!(cache.set_occupancies(), occupancy, "{ctx}");
+                    assert_eq!(cache.len(), occupancy.iter().sum::<u32>() as usize);
+                }
+                assert_eq!(cache.blocks(), model.sets.concat());
+            }
+        }
     }
 
     #[test]

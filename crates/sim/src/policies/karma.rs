@@ -22,7 +22,6 @@
 
 use crate::block::FileId;
 use crate::topology::Topology;
-use std::collections::HashMap;
 
 /// One hinted range: a whole file (disk-resident array).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -86,13 +85,27 @@ pub enum KarmaLevel {
     Bypass,
 }
 
-/// The result of KARMA's partitioning decision.
+/// The result of KARMA's partitioning decision: the level of every
+/// (I/O node, file) pair, in one dense table.
+///
+/// File ids are array indices (small and dense), so the table has one
+/// column per file up to the largest hinted id. It has one row per I/O
+/// node plus a last row holding each file's storage-side level, which
+/// answers for I/O node indices past the topology. Files outside the
+/// table are unhinted and cached at the I/O level (KARMA falls back to
+/// LRU-like behaviour without hints), as is everything under
+/// [`KarmaAssignment::default`], which installs no allocation.
 #[derive(Clone, Debug, Default)]
 pub struct KarmaAssignment {
-    /// Files admitted into each I/O-node cache's partition.
-    io_admitted: Vec<HashMap<FileId, bool>>,
-    /// Fallback level for files not I/O-admitted at a node.
-    level_of_file: HashMap<FileId, KarmaLevel>,
+    /// I/O nodes of the topology; row `io_nodes` is the storage-side row.
+    io_nodes: usize,
+    /// Columns per row: one past the largest hinted file id.
+    files: usize,
+    /// Row-major `(io_nodes + 1) × files` levels.
+    levels: Vec<KarmaLevel>,
+    /// Per column: the file has a global range or is admitted at some
+    /// I/O node (the files [`KarmaAssignment::census`] counts).
+    hinted: Vec<bool>,
 }
 
 fn sort_by_gain(ranges: &mut [RangeHint]) {
@@ -114,9 +127,17 @@ impl KarmaAssignment {
     /// *it* serves (per-group hints when provided), and the storage layer
     /// among the remaining ranges.
     pub fn allocate(hints: &KarmaHints, topo: &Topology) -> KarmaAssignment {
-        // Per-I/O-node admission.
-        let mut io_admitted: Vec<HashMap<FileId, bool>> = Vec::with_capacity(topo.io_nodes);
-        for g in 0..topo.io_nodes {
+        let files = hints
+            .ranges
+            .iter()
+            .chain(hints.group_ranges.iter().flatten())
+            .map(|r| r.file as usize + 1)
+            .max()
+            .unwrap_or(0);
+        let mut hinted = vec![false; files];
+        // Per-I/O-node admission: `admitted[g * files + f]`.
+        let mut admitted = vec![false; topo.io_nodes * files];
+        for (g, row) in admitted.chunks_mut(files.max(1)).enumerate() {
             let mut ranges = if hints.group_ranges.len() == topo.io_nodes {
                 hints.group_ranges[g].clone()
             } else {
@@ -124,62 +145,63 @@ impl KarmaAssignment {
             };
             sort_by_gain(&mut ranges);
             let mut left = topo.io_cache_blocks as i128;
-            let mut admitted = HashMap::new();
             for r in &ranges {
                 let sz = r.num_blocks as i128;
                 if sz <= left {
                     left -= sz;
-                    admitted.insert(r.file, true);
+                    row[r.file as usize] = true;
+                    hinted[r.file as usize] = true;
                 }
             }
-            io_admitted.push(admitted);
         }
         // Storage layer: global ranges not I/O-admitted everywhere compete
         // for the aggregate storage capacity.
         let mut ranges = hints.ranges.clone();
         sort_by_gain(&mut ranges);
         let mut storage_left = topo.total_storage_cache() as i128;
-        let mut level_of_file = HashMap::new();
+        let mut storage_row = vec![KarmaLevel::Io; files];
         for r in &ranges {
-            let everywhere = io_admitted
-                .iter()
-                .all(|m| m.get(&r.file).copied().unwrap_or(false));
-            if everywhere {
-                level_of_file.insert(r.file, KarmaLevel::Io);
-                continue;
-            }
+            let f = r.file as usize;
+            hinted[f] = true;
+            let everywhere = (0..topo.io_nodes).all(|g| admitted[g * files + f]);
             let sz = r.num_blocks as i128;
-            let level = if sz <= storage_left {
+            storage_row[f] = if everywhere {
+                KarmaLevel::Io
+            } else if sz <= storage_left {
                 storage_left -= sz;
                 KarmaLevel::Storage
             } else {
                 KarmaLevel::Bypass
             };
-            level_of_file.insert(r.file, level);
         }
+        let mut levels: Vec<KarmaLevel> = admitted
+            .iter()
+            .enumerate()
+            .map(|(i, &io)| {
+                if io {
+                    KarmaLevel::Io
+                } else {
+                    storage_row[i % files]
+                }
+            })
+            .collect();
+        levels.extend(storage_row);
         KarmaAssignment {
-            io_admitted,
-            level_of_file,
+            io_nodes: topo.io_nodes,
+            files,
+            levels,
+            hinted,
         }
     }
 
     /// Level of `file` for requests arriving through I/O node `io_idx`.
-    /// Unhinted files are cached at the I/O level (KARMA falls back to
-    /// LRU-like behaviour without hints).
+    #[inline]
     pub fn level_for(&self, io_idx: usize, file: FileId) -> KarmaLevel {
-        if let Some(m) = self.io_admitted.get(io_idx) {
-            if m.get(&file).copied().unwrap_or(false) {
-                return KarmaLevel::Io;
-            }
-        }
-        if self.io_admitted.is_empty() {
-            // No allocation installed at all: behave like plain I/O caching.
+        let file = file as usize;
+        if file >= self.files {
             return KarmaLevel::Io;
         }
-        self.level_of_file
-            .get(&file)
-            .copied()
-            .unwrap_or(KarmaLevel::Io)
+        self.levels[io_idx.min(self.io_nodes) * self.files + file]
     }
 
     /// Level assigned to `file` viewed from I/O node 0 (compatibility
@@ -192,14 +214,8 @@ impl KarmaAssignment {
     /// from the node-0 viewpoint.
     pub fn census(&self) -> (usize, usize, usize) {
         let mut c = (0, 0, 0);
-        let files: std::collections::BTreeSet<FileId> = self
-            .level_of_file
-            .keys()
-            .copied()
-            .chain(self.io_admitted.iter().flat_map(|m| m.keys().copied()))
-            .collect();
-        for f in files {
-            match self.level_for(0, f) {
+        for f in (0..self.files).filter(|&f| self.hinted[f]) {
+            match self.level_for(0, f as FileId) {
                 KarmaLevel::Io => c.0 += 1,
                 KarmaLevel::Storage => c.1 += 1,
                 KarmaLevel::Bypass => c.2 += 1,
@@ -212,6 +228,7 @@ impl KarmaAssignment {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::HashMap;
 
     fn topo() -> Topology {
         // total io cache = 2*8 = 16 blocks; storage = 1*16 = 16 blocks.
@@ -287,5 +304,162 @@ mod tests {
         let asg = KarmaAssignment::allocate(&hints, &topo());
         assert_eq!(asg.level_for(0, 0), KarmaLevel::Io);
         assert_ne!(asg.level_for(1, 0), KarmaLevel::Io);
+    }
+
+    /// The allocation as it stood with one admission `HashMap` per I/O
+    /// node and a per-file fallback `HashMap`.
+    struct HashMapRule {
+        io_admitted: Vec<HashMap<FileId, bool>>,
+        level_of_file: HashMap<FileId, KarmaLevel>,
+    }
+
+    impl HashMapRule {
+        fn allocate(hints: &KarmaHints, topo: &Topology) -> HashMapRule {
+            let mut io_admitted: Vec<HashMap<FileId, bool>> = Vec::new();
+            for g in 0..topo.io_nodes {
+                let mut ranges = if hints.group_ranges.len() == topo.io_nodes {
+                    hints.group_ranges[g].clone()
+                } else {
+                    hints.ranges.clone()
+                };
+                sort_by_gain(&mut ranges);
+                let mut left = topo.io_cache_blocks as i128;
+                let mut admitted = HashMap::new();
+                for r in &ranges {
+                    if r.num_blocks as i128 <= left {
+                        left -= r.num_blocks as i128;
+                        admitted.insert(r.file, true);
+                    }
+                }
+                io_admitted.push(admitted);
+            }
+            let mut ranges = hints.ranges.clone();
+            sort_by_gain(&mut ranges);
+            let mut storage_left = topo.total_storage_cache() as i128;
+            let mut level_of_file = HashMap::new();
+            for r in &ranges {
+                if io_admitted
+                    .iter()
+                    .all(|m| m.get(&r.file).copied().unwrap_or(false))
+                {
+                    level_of_file.insert(r.file, KarmaLevel::Io);
+                    continue;
+                }
+                let level = if r.num_blocks as i128 <= storage_left {
+                    storage_left -= r.num_blocks as i128;
+                    KarmaLevel::Storage
+                } else {
+                    KarmaLevel::Bypass
+                };
+                level_of_file.insert(r.file, level);
+            }
+            HashMapRule {
+                io_admitted,
+                level_of_file,
+            }
+        }
+
+        fn level_for(&self, io_idx: usize, file: FileId) -> KarmaLevel {
+            if let Some(m) = self.io_admitted.get(io_idx) {
+                if m.get(&file).copied().unwrap_or(false) {
+                    return KarmaLevel::Io;
+                }
+            }
+            if self.io_admitted.is_empty() {
+                return KarmaLevel::Io;
+            }
+            self.level_of_file
+                .get(&file)
+                .copied()
+                .unwrap_or(KarmaLevel::Io)
+        }
+
+        fn census(&self) -> (usize, usize, usize) {
+            let mut c = (0, 0, 0);
+            let files: std::collections::BTreeSet<FileId> = self
+                .level_of_file
+                .keys()
+                .copied()
+                .chain(self.io_admitted.iter().flat_map(|m| m.keys().copied()))
+                .collect();
+            for f in files {
+                match self.level_for(0, f) {
+                    KarmaLevel::Io => c.0 += 1,
+                    KarmaLevel::Storage => c.1 += 1,
+                    KarmaLevel::Bypass => c.2 += 1,
+                }
+            }
+            c
+        }
+    }
+
+    /// The dense table answers exactly what the `HashMap` rule did, for
+    /// every (I/O node, file) pair: hinted, unhinted and past-the-end
+    /// files, per-group and global hints, duplicate ranges, and one I/O
+    /// node index past the topology. The census agrees too.
+    #[test]
+    fn dense_table_matches_hashmap_rule() {
+        fn next(x: &mut u64, n: u64) -> u64 {
+            *x ^= *x << 13;
+            *x ^= *x >> 7;
+            *x ^= *x << 17;
+            *x % n
+        }
+        fn random_ranges(x: &mut u64, n: u64) -> Vec<RangeHint> {
+            (0..n)
+                .map(|_| RangeHint {
+                    file: next(x, 9) as FileId,
+                    num_blocks: 1 + next(x, 20),
+                    accesses: next(x, 2000),
+                })
+                .collect()
+        }
+        let mut cases = vec![
+            KarmaHints::default(),
+            KarmaHints::from_triples(&[(0, 6, 1000), (1, 10, 100), (2, 10, 10)]),
+            KarmaHints::from_triples(&[(3, 4, 90), (3, 12, 100), (7, 2, 5)]),
+        ];
+        let mut x: u64 = 0x9E37_79B9_7F4A_7C15;
+        for _ in 0..200 {
+            let n = 1 + next(&mut x, 6);
+            let mut hints = KarmaHints {
+                ranges: random_ranges(&mut x, n),
+                group_ranges: Vec::new(),
+            };
+            if next(&mut x, 3) > 0 {
+                // Two groups match the topology; three make it fall back
+                // to the global ranges.
+                let groups = if next(&mut x, 4) == 0 { 3 } else { 2 };
+                hints.group_ranges = (0..groups)
+                    .map(|_| {
+                        let n = next(&mut x, 6);
+                        random_ranges(&mut x, n)
+                    })
+                    .collect();
+            }
+            cases.push(hints);
+        }
+        let mut topo = topo();
+        for (case, hints) in cases.iter().enumerate() {
+            topo.io_cache_blocks = [4, 8, 12][case % 3];
+            let asg = KarmaAssignment::allocate(hints, &topo);
+            let rule = HashMapRule::allocate(hints, &topo);
+            for io_idx in 0..=topo.io_nodes {
+                for file in 0..12 {
+                    assert_eq!(
+                        asg.level_for(io_idx, file),
+                        rule.level_for(io_idx, file),
+                        "case {case} io node {io_idx} file {file}"
+                    );
+                }
+            }
+            assert_eq!(asg.census(), rule.census(), "case {case}");
+        }
+        let none = KarmaAssignment::default();
+        for file in [0, 1, 42, FileId::MAX] {
+            assert_eq!(none.level_for(0, file), KarmaLevel::Io);
+            assert_eq!(none.level_for(5, file), KarmaLevel::Io);
+        }
+        assert_eq!(none.census(), (0, 0, 0));
     }
 }

@@ -29,7 +29,7 @@
 //! point with [`crate::PolicyKind::LruInclusive`]: same layer counters,
 //! same disk reads, same per-thread latencies, same execution time.
 
-use crate::cache::{set_geometry, set_hash, CacheStats, FastMod};
+use crate::cache::{set_geometry, set_hash, CacheStats, FastMod, SetAssocCache};
 use crate::disk::{DiskModel, DiskState};
 use crate::error::SimError;
 use crate::fault::{FaultPlan, FaultState};
@@ -73,8 +73,8 @@ const MAX_CLASSES: u64 = 4096;
 /// per-access cost bounded for adversarial geometry mixes.
 const MAX_TABLE: usize = 1 << 20;
 
-/// Per-class recency windows mirror the small-mode linear scans of
-/// [`crate::LruCore`]; geometries wider than this fall back.
+/// Per-class recency windows mirror the flat per-set scans of
+/// [`SetAssocCache`]; geometries wider than this fall back.
 const MAX_WAYS: usize = 128;
 
 fn gcd(a: u64, b: u64) -> u64 {
@@ -498,82 +498,6 @@ impl<S: SeqTime> StackEngine<S> {
     }
 }
 
-/// A set-associative always-insert LRU cache specialized for the sweep's
-/// storage layer: each set is a flat MRU-first array, so a hit is a short
-/// scan plus an in-place rotate and a fill evicts the last slot — the
-/// same set structure, hash, and eviction order as a
-/// [`crate::cache::SetAssocCache`] (whose general [`crate::LruCore`]
-/// carries linked-list plumbing for demote/remove operations the
-/// inclusive sweep never performs), hence bit-identical hits, evictions,
-/// and counters.
-struct FlatSetLru {
-    set_mod: FastMod,
-    ways: usize,
-    /// `num_sets × ways` entries, MRU-first per set; `file == u32::MAX`
-    /// marks an empty slot (never a real file at realistic array counts).
-    indices: Vec<u64>,
-    files: Vec<u32>,
-    stats: CacheStats,
-}
-
-impl FlatSetLru {
-    fn new(capacity: usize, ways: usize) -> FlatSetLru {
-        let (num_sets, ways) = set_geometry(capacity, ways);
-        FlatSetLru {
-            set_mod: FastMod::new(num_sets as u64),
-            ways,
-            indices: vec![u64::MAX; num_sets * ways],
-            files: vec![u32::MAX; num_sets * ways],
-            stats: CacheStats::default(),
-        }
-    }
-
-    /// Unweighted lookup: counts the access, promotes on hit.
-    #[inline]
-    fn access(&mut self, block: crate::BlockAddr) -> bool {
-        let base = self.set_mod.rem(set_hash(block)) as usize * self.ways;
-        self.stats.accesses += 1;
-        for i in 0..self.ways {
-            if self.indices[base + i] == block.index && self.files[base + i] == block.file {
-                self.stats.hits += 1;
-                self.indices.copy_within(base..base + i, base + 1);
-                self.files.copy_within(base..base + i, base + 1);
-                self.indices[base] = block.index;
-                self.files[base] = block.file;
-                return true;
-            }
-        }
-        false
-    }
-
-    /// Insert a block that just missed (the set's LRU slot is evicted).
-    #[inline]
-    fn insert_absent(&mut self, block: crate::BlockAddr) {
-        let base = self.set_mod.rem(set_hash(block)) as usize * self.ways;
-        self.indices
-            .copy_within(base..base + self.ways - 1, base + 1);
-        self.files.copy_within(base..base + self.ways - 1, base + 1);
-        self.indices[base] = block.index;
-        self.files[base] = block.file;
-    }
-
-    /// Whether inserting `block` now would push a resident block out of
-    /// its set (observer bookkeeping only).
-    #[inline]
-    fn insert_would_evict(&self, block: crate::BlockAddr) -> bool {
-        let base = self.set_mod.rem(set_hash(block)) as usize * self.ways;
-        self.files[base + self.ways - 1] != u32::MAX
-    }
-
-    /// Resident blocks per set (observer bookkeeping only).
-    fn set_occupancies(&self) -> Vec<u32> {
-        self.files
-            .chunks_exact(self.ways)
-            .map(|set| set.iter().filter(|&&f| f != u32::MAX).count() as u32)
-            .collect()
-    }
-}
-
 /// Per-point live state: storage caches, disks, and accumulators. The I/O
 /// layer is classified by the shared [`MultiCapacityStack`]s; everything
 /// downstream of an I/O miss is simulated for real per point.
@@ -581,7 +505,7 @@ struct PointState {
     /// Requests that missed this point's I/O layer (each miss forfeits
     /// exactly one weighted hit; see [`crate::LruCore::access_weighted`]).
     io_miss_requests: u64,
-    storage: Vec<FlatSetLru>,
+    storage: Vec<SetAssocCache>,
     disks: Vec<DiskState>,
     latency: Vec<f64>,
 }
@@ -728,7 +652,7 @@ fn sweep_with<S: SeqTime, O: Observer>(
         .map(|p| PointState {
             io_miss_requests: 0,
             storage: (0..base.storage_nodes)
-                .map(|_| FlatSetLru::new(p.storage_cache_blocks, base.cache_ways))
+                .map(|_| SetAssocCache::new(p.storage_cache_blocks, base.cache_ways))
                 .collect(),
             disks: (0..base.storage_nodes)
                 .map(|_| DiskState::default())
@@ -762,10 +686,9 @@ fn sweep_with<S: SeqTime, O: Observer>(
                         base.storage_nodes,
                     );
                     point_obs[k].disk_read(sc_idx, sequential, disk);
-                    if O::ENABLED && st.storage[sc_idx].insert_would_evict(entry.block) {
+                    if st.storage[sc_idx].insert_absent(entry.block).is_some() {
                         point_obs[k].eviction(Layer::Storage, sc_idx);
                     }
-                    st.storage[sc_idx].insert_absent(entry.block);
                     costs.io_hit_ms + costs.storage_hit_ms + disk
                 };
                 st.latency[t] += ms;
@@ -783,7 +706,7 @@ fn sweep_with<S: SeqTime, O: Observer>(
         .map(|st| {
             let mut storage = CacheStats::default();
             for c in &st.storage {
-                storage.merge(&c.stats);
+                storage.merge(&c.stats());
             }
             let execution_time_ms = st
                 .latency
