@@ -88,7 +88,7 @@ mod tests {
         assert!(e.to_string().contains("invalid topology"));
         let e: BenchError = CoreError::InvalidConfig("no threads".to_string()).into();
         assert!(e.to_string().contains("parallel config"));
-        let e = BenchError::InvalidArg("--obs-gate wants a number".to_string());
+        let e = BenchError::InvalidArg("--clients wants a number".to_string());
         assert!(e.to_string().contains("invalid argument"));
         let e: BenchError = std::io::Error::new(std::io::ErrorKind::NotFound, "gone").into();
         assert!(e.to_string().contains("i/o error"));

@@ -1043,8 +1043,8 @@ mod tests {
         assert!((agg.wait_ms - 4.5).abs() < 1e-12);
         let n2 = &art.serves[&("simulate".to_string(), "qio".to_string(), "n2".to_string())];
         assert_eq!(n2.ok, 1, "per-node rows stay separate");
-        let legacy = &art.serves[&("ping".to_string(), "-".to_string(), "-".to_string())];
-        assert_eq!(legacy.ok, 1, "events without `node` decode as `-`");
+        let nodeless = &art.serves[&("ping".to_string(), "-".to_string(), "-".to_string())];
+        assert_eq!(nodeless.ok, 1, "events without `node` decode as `-`");
         let rendered = format!("{}", serve_table(&art));
         assert!(rendered.contains("simulate"), "{rendered}");
         assert!(rendered.contains("n1"), "node column: {rendered}");
@@ -1060,7 +1060,7 @@ mod tests {
     fn loads_traced_events_and_ranks_critical_paths() {
         let mut sink = JsonlSink::new("flod");
         // Three traced requests: exec-bound, wait-bound, and a fast
-        // inline hit; plus one legacy event without a trace id.
+        // inline hit; plus one older event without a trace id.
         for (trace, cache, parse, wait, exec, ser, flush) in [
             (901u64, "miss", 0.1, 0.2, 50.0, 0.3, 0.1),
             (902, "miss", 0.1, 30.0, 5.0, 0.2, 0.1),

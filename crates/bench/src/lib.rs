@@ -29,7 +29,6 @@ pub mod error;
 pub mod experiments;
 pub mod flostat;
 pub mod harness;
-pub mod legacy;
 pub mod metrics;
 pub mod tablefmt;
 

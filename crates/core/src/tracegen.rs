@@ -14,7 +14,10 @@
 //!   block-run emission (see [`crate::emit`]).
 //! * [`generate_traces_reference`] — the original element-at-a-time
 //!   evaluator, kept as the executable specification; the differential
-//!   tests assert the two agree entry for entry on every workload.
+//!   tests assert the two agree entry for entry on every workload. It is
+//!   the tracegen's naive model, not a frozen copy of the fast path: it
+//!   shares no emission code with [`generate_traces`], so the comparison
+//!   is independent (the simulator's counterpart is `flo_sim::oracle`).
 
 use crate::config::ParallelConfig;
 use crate::emit;

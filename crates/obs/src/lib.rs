@@ -11,9 +11,10 @@
 //!   per-access walks as a *monomorphized* type parameter. Every method
 //!   has an empty `#[inline]` default, and the [`NullObserver`]
 //!   instantiation overrides nothing, so the instrumented code compiles
-//!   to exactly the uninstrumented machine code (asserted differentially
-//!   against the frozen `flo_sim::seedpath` reference and gated at ≤2%
-//!   overhead by `perfstats --obs-gate`). [`MetricsObserver`] is the
+//!   to exactly the uninstrumented machine code. The null-observed
+//!   simulator is checked bit for bit against the independent
+//!   `flo_sim::simulate_oracle`, and its speed by the repository
+//!   benchmark's `pipeline` and `sweep` workloads. [`MetricsObserver`] is the
 //!   collecting instantiation: per-layer per-node counters, disk
 //!   seek/sequential breakdowns, KARMA routing utilization,
 //!   stack-distance histograms and per-set occupancy snapshots.

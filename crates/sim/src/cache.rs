@@ -143,29 +143,6 @@ impl LruCore {
             self.push_front(idx);
             return None;
         }
-        let (idx, evicted) = self.claim_slot(block);
-        self.push_front(idx);
-        evicted
-    }
-
-    /// Insert `block` at the *LRU* end (used by DEMOTE-style placements
-    /// where a block should be first in line for eviction). Returns the
-    /// evicted block if the cache was full.
-    pub fn insert_lru(&mut self, block: BlockAddr) -> Option<BlockAddr> {
-        if let Some(&idx) = self.map.get(&block) {
-            // Already resident: move to LRU end.
-            self.unlink(idx);
-            self.push_back(idx);
-            return None;
-        }
-        let (idx, evicted) = self.claim_slot(block);
-        self.push_back(idx);
-        evicted
-    }
-
-    /// Make room for absent `block` (evicting the LRU block when full)
-    /// and register it in an unlinked slab slot.
-    fn claim_slot(&mut self, block: BlockAddr) -> (usize, Option<BlockAddr>) {
         let evicted = if self.len() == self.capacity {
             self.pop_lru()
         } else {
@@ -187,7 +164,8 @@ impl LruCore {
             }
         };
         self.map.insert(block, idx);
-        (idx, evicted)
+        self.push_front(idx);
+        evicted
     }
 
     /// Remove `block` if resident; returns whether it was present.
@@ -261,18 +239,6 @@ impl LruCore {
         self.head = idx;
         if self.tail == NIL {
             self.tail = idx;
-        }
-    }
-
-    fn push_back(&mut self, idx: usize) {
-        self.nodes[idx].next = NIL;
-        self.nodes[idx].prev = self.tail;
-        if self.tail != NIL {
-            self.nodes[self.tail].next = idx;
-        }
-        self.tail = idx;
-        if self.head == NIL {
-            self.head = idx;
         }
     }
 }
@@ -482,25 +448,6 @@ impl SetAssocCache {
         victim
     }
 
-    /// Insert at the LRU end of the block's set (a resident block moves
-    /// there); returns the set's previous LRU block if the set was full.
-    pub fn insert_lru(&mut self, block: BlockAddr) -> Option<BlockAddr> {
-        let (s, base, len) = self.locate(block);
-        if let Some(pos) = self.position(base, len, block) {
-            self.shift_up(base + pos + 1, base + len);
-            self.put(base + len - 1, block);
-            return None;
-        }
-        let victim = if len == self.ways {
-            Some(self.block_at(base + len - 1))
-        } else {
-            self.lens[s] += 1;
-            None
-        };
-        self.put(base + len.min(self.ways - 1), block);
-        victim
-    }
-
     /// Remove a block if resident.
     pub fn remove(&mut self, block: BlockAddr) -> bool {
         let (s, base, len) = self.locate(block);
@@ -575,6 +522,7 @@ impl SetAssocCache {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::oracle::NaiveSets;
 
     fn b(i: u64) -> BlockAddr {
         BlockAddr::new(0, i)
@@ -626,15 +574,6 @@ mod tests {
         c.access(b(1)); // 1 becomes MRU, 2 is now LRU
         let evicted = c.insert(b(3));
         assert_eq!(evicted, Some(b(2)));
-    }
-
-    #[test]
-    fn insert_lru_is_first_evicted() {
-        let mut c = LruCore::new(2);
-        c.insert(b(1));
-        c.insert_lru(b(2));
-        let evicted = c.insert(b(3));
-        assert_eq!(evicted, Some(b(2)), "LRU-inserted block evicted first");
     }
 
     #[test]
@@ -717,32 +656,30 @@ mod tests {
         assert!(large.stats().hits >= small.stats().hits);
     }
 
-    /// Naive LRU oracle: the core must match it move for move.
+    /// The core against a one-set oracle cache (a plain MRU-first list),
+    /// move for move: hits, victims, removals, LRU pops, counters, order.
     fn oracle_check(capacity: usize) {
         let mut core = LruCore::new(capacity);
-        let mut oracle: Vec<BlockAddr> = Vec::new(); // MRU first
+        let mut oracle = NaiveSets::new(capacity, capacity);
         let mut x: u64 = 0x9E37_79B9;
         for step in 0..4000 {
             x ^= x << 13;
             x ^= x >> 7;
             x ^= x << 17;
             let blk = b(x % (capacity as u64 * 2));
-            let hit = core.access(blk);
-            assert_eq!(hit, oracle.contains(&blk), "cap {capacity} step {step}");
-            if let Some(p) = oracle.iter().position(|&o| o == blk) {
-                oracle.remove(p);
+            let ctx = format!("cap {capacity} step {step}");
+            match x >> 40 & 15 {
+                0 => assert_eq!(core.remove(blk), oracle.take(blk), "{ctx}"),
+                1 => assert_eq!(core.pop_lru(), oracle.sets[0].pop(), "{ctx}"),
+                _ => {
+                    assert_eq!(core.access(blk), oracle.lookup(blk, 1), "{ctx}");
+                    assert_eq!(core.insert(blk), oracle.insert(blk), "{ctx}");
+                }
             }
-            oracle.insert(0, blk);
-            let evicted = core.insert(blk);
-            let expect = if oracle.len() > capacity {
-                oracle.pop()
-            } else {
-                None
-            };
-            assert_eq!(evicted, expect, "cap {capacity} step {step}");
-            assert_eq!(core.len(), oracle.len(), "cap {capacity} step {step}");
+            assert_eq!(core.stats(), oracle.stats, "{ctx}");
+            assert_eq!(core.len(), oracle.sets[0].len(), "{ctx}");
         }
-        assert_eq!(core.blocks_mru_to_lru(), oracle);
+        assert_eq!(core.blocks_mru_to_lru(), oracle.sets[0]);
     }
 
     #[test]
@@ -785,93 +722,9 @@ mod tests {
         }
     }
 
-    /// A naive set-associative LRU model: one `Vec` per set, MRU first,
-    /// with a linear scan and the hardware modulo for set selection.
-    struct NaiveSetAssoc {
-        sets: Vec<Vec<BlockAddr>>,
-        ways: usize,
-        stats: CacheStats,
-    }
-
-    impl NaiveSetAssoc {
-        fn new(capacity: usize, ways: usize) -> NaiveSetAssoc {
-            let ways = ways.min(capacity);
-            NaiveSetAssoc {
-                sets: vec![Vec::new(); (capacity / ways).max(1)],
-                ways,
-                stats: CacheStats::default(),
-            }
-        }
-
-        fn set(&mut self, blk: BlockAddr) -> &mut Vec<BlockAddr> {
-            let n = self.sets.len() as u64;
-            &mut self.sets[((blk.index + blk.file as u64 * 7919) % n) as usize]
-        }
-
-        fn take(&mut self, blk: BlockAddr) -> bool {
-            let set = self.set(blk);
-            match set.iter().position(|&o| o == blk) {
-                Some(p) => {
-                    set.remove(p);
-                    true
-                }
-                None => false,
-            }
-        }
-
-        fn access_weighted(&mut self, blk: BlockAddr, weight: u32) -> bool {
-            let hit = self.take(blk);
-            if hit {
-                self.set(blk).insert(0, blk);
-            }
-            self.stats.accesses += weight as u64;
-            self.stats.hits += if hit {
-                weight as u64
-            } else {
-                weight as u64 - 1
-            };
-            hit
-        }
-
-        fn insert(&mut self, blk: BlockAddr) -> Option<BlockAddr> {
-            let resident = self.take(blk);
-            let ways = self.ways;
-            let set = self.set(blk);
-            set.insert(0, blk);
-            if !resident && set.len() > ways {
-                set.pop()
-            } else {
-                None
-            }
-        }
-
-        fn insert_lru(&mut self, blk: BlockAddr) -> Option<BlockAddr> {
-            let resident = self.take(blk);
-            let ways = self.ways;
-            let set = self.set(blk);
-            let victim = if !resident && set.len() == ways {
-                set.pop()
-            } else {
-                None
-            };
-            set.push(blk);
-            victim
-        }
-
-        fn invalidate(&mut self, keep: impl Fn(usize) -> bool) -> usize {
-            let mut dropped = 0;
-            for (i, set) in self.sets.iter_mut().enumerate() {
-                if !keep(i) {
-                    dropped += set.len();
-                    set.clear();
-                }
-            }
-            dropped
-        }
-    }
-
-    /// The flat sets against the naive model, operation for operation:
-    /// hits, victims, counters, per-set occupancy and MRU order.
+    /// The flat sets against the oracle's naive sets (one `Vec` per set,
+    /// the hardware modulo), operation for operation: hits, victims,
+    /// counters, per-set occupancy and MRU order.
     #[test]
     fn set_assoc_matches_naive_model() {
         let mut x: u64 = 0x2545_F491_4F6C_DD1D;
@@ -884,7 +737,7 @@ mod tests {
         for capacity in [1usize, 5, 24, 64] {
             for ways in [1, 2, 3, 8, capacity] {
                 let mut cache = SetAssocCache::new(capacity, ways);
-                let mut model = NaiveSetAssoc::new(capacity, ways);
+                let mut model = NaiveSets::new(capacity, ways);
                 assert_eq!(cache.num_sets(), model.sets.len());
                 for step in 0..3000 {
                     let blk = BlockAddr::new(next(3) as u32, next(capacity as u64 * 2));
@@ -893,20 +746,17 @@ mod tests {
                         0..=39 => {
                             let w = 1 + next(4) as u32;
                             let hit = cache.access_weighted(blk, w);
-                            assert_eq!(hit, model.access_weighted(blk, w), "{ctx}");
+                            assert_eq!(hit, model.lookup(blk, w), "{ctx}");
                             if !hit && next(2) == 0 {
                                 assert_eq!(cache.insert_absent(blk), model.insert(blk), "{ctx}");
                             }
                         }
-                        40..=69 => assert_eq!(cache.insert(blk), model.insert(blk), "{ctx}"),
-                        70..=84 => {
-                            assert_eq!(cache.insert_lru(blk), model.insert_lru(blk), "{ctx}")
-                        }
+                        40..=84 => assert_eq!(cache.insert(blk), model.insert(blk), "{ctx}"),
                         85..=96 => assert_eq!(cache.remove(blk), model.take(blk), "{ctx}"),
-                        97 => assert_eq!(cache.invalidate_all(), model.invalidate(|_| false)),
+                        97 => assert_eq!(cache.invalidate_all(), model.drop_sets(|_| true)),
                         _ => {
                             let p = next(2) as usize;
-                            let dropped = model.invalidate(|i| i % 2 != p);
+                            let dropped = model.drop_sets(|i| i % 2 == p);
                             assert_eq!(cache.invalidate_half(p), dropped, "{ctx}");
                         }
                     }

@@ -22,8 +22,15 @@
 //! over a [`FaultHook`]; the [`NoFaults`] instantiation (`ACTIVE = false`)
 //! overrides nothing and monomorphizes every hook site away, so the
 //! no-plan path compiles to the pre-fault machine code — the same
-//! discipline (and the same `perfstats --obs-gate` guard) as the
-//! observability layer.
+//! discipline as the observability layer.
+//!
+//! **Checked independently.** The schedule is the four [`FaultPlan`]
+//! draws ([`FaultPlan::outage_fires`], [`FaultPlan::straggler_fires`],
+//! [`FaultPlan::cache_fault`], [`FaultPlan::transient_fires`]).
+//! [`FaultState`] replays them against [`StorageSystem`], and
+//! `flo_sim::oracle` replays them against its own naive caches, routing
+//! and disks; the differential tests hold faulted runs of the two
+//! bit-identical.
 
 use crate::block::BlockAddr;
 use crate::error::SimError;
@@ -84,6 +91,17 @@ pub struct FaultPlan {
     pub flush_per_mille: u32,
     /// The transient-error retry model.
     pub retry: RetryModel,
+}
+
+/// What a window's cache-fault draw does to one cache.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum CacheFault {
+    /// Drop every resident block.
+    Flush,
+    /// Drop the blocks of every set whose index has the window's parity,
+    /// transiently halving the capacity (MQ caches have no sets and
+    /// flush fully).
+    Shrink,
 }
 
 /// Hash streams separating the independent fault decisions.
@@ -166,12 +184,58 @@ impl FaultPlan {
         }
     }
 
+    /// Whether storage node `node` is dark during fault window `window`.
+    pub fn outage_fires(&self, node: usize, window: u64) -> bool {
+        chance(
+            self.seed,
+            STREAM_OUTAGE,
+            node as u64,
+            window,
+            self.outage_per_mille,
+        )
+    }
+
+    /// Whether storage node `node`'s disk straggles during fault window
+    /// `window`.
+    pub fn straggler_fires(&self, node: usize, window: u64) -> bool {
+        chance(
+            self.seed,
+            STREAM_STRAGGLER,
+            node as u64,
+            window,
+            self.straggler_per_mille,
+        )
+    }
+
+    /// What happens to the cache of `layer` node `node` on entering fault
+    /// window `window`: one independent draw per cache, whose high bit
+    /// picks a full flush or a half-capacity shrink.
+    pub fn cache_fault(&self, layer: Layer, node: usize, window: u64) -> Option<CacheFault> {
+        if self.flush_per_mille == 0 {
+            return None;
+        }
+        let stream = match layer {
+            Layer::Io => STREAM_FLUSH_IO,
+            Layer::Storage => STREAM_FLUSH_SC,
+        };
+        let roll = schedule(self.seed, stream, node as u64, window);
+        if roll % 1000 >= u64::from(self.flush_per_mille) {
+            None
+        } else if roll >> 32 & 1 == 0 {
+            Some(CacheFault::Flush)
+        } else {
+            Some(CacheFault::Shrink)
+        }
+    }
+
     /// Whether the transient-error schedule fires for retry `attempt` of
-    /// the disk read served at interleaved request `request`. This is the
-    /// exact draw [`FaultState::disk_cost`] consults — exported so the
-    /// real-bytes store's I/O fault injector fails its pread calls on the
-    /// *same* schedule and the measured retry tallies can be asserted
-    /// equal to the simulated ones.
+    /// the disk read served at interleaved request `request`.
+    ///
+    /// This and the three draws above are the whole schedule: they are
+    /// what [`FaultState`] replays, what `flo_sim::oracle` replays
+    /// independently, and — for transient errors — what the real-bytes
+    /// store's I/O fault injector fails its pread calls on, so measured
+    /// retry tallies can be asserted equal to simulated ones.
     #[inline]
     pub fn transient_fires(&self, request: u64, attempt: u32) -> bool {
         chance(
@@ -334,72 +398,37 @@ impl FaultState {
 
     fn enter_window<O: Observer>(&mut self, w: u64, system: &mut StorageSystem, obs: &mut O) {
         self.window = w;
-        let topo = system.topology().clone();
-        let seed = self.plan.seed;
+        let (io_nodes, storage_nodes) =
+            (system.topology().io_nodes, system.topology().storage_nodes);
         // Outage + straggler masks for the window.
         let mut live = 0u64;
         let mut stragglers = 0u64;
-        for node in 0..topo.storage_nodes.min(64) {
-            if chance(
-                seed,
-                STREAM_OUTAGE,
-                node as u64,
-                w,
-                self.plan.outage_per_mille,
-            ) {
+        for node in 0..storage_nodes.min(64) {
+            if self.plan.outage_fires(node, w) {
                 self.stats.outages += 1;
                 obs.fault(FaultEvent::Outage { node });
             } else {
                 live |= 1 << node;
             }
-            if chance(
-                seed,
-                STREAM_STRAGGLER,
-                node as u64,
-                w,
-                self.plan.straggler_per_mille,
-            ) {
+            if self.plan.straggler_fires(node, w) {
                 stragglers |= 1 << node;
             }
         }
         self.live_mask = live;
         self.straggler_mask = stragglers;
-        // Cache flushes/shrinks: an independent draw per cache; the draw's
-        // high bit picks full flush vs. half-capacity shrink.
-        if self.plan.flush_per_mille > 0 {
-            for node in 0..topo.io_nodes {
-                let roll = schedule(seed, STREAM_FLUSH_IO, node as u64, w);
-                if roll % 1000 < u64::from(self.plan.flush_per_mille) {
-                    let blocks = if roll >> 32 & 1 == 0 {
-                        system.flush_io_cache(node)
-                    } else {
-                        system.shrink_io_cache(node, w as usize)
-                    };
-                    self.stats.cache_flushes += 1;
-                    self.stats.flushed_blocks += blocks as u64;
-                    obs.fault(FaultEvent::CacheFlush {
-                        layer: Layer::Io,
-                        node,
-                        blocks,
-                    });
-                }
-            }
-            for node in 0..topo.storage_nodes {
-                let roll = schedule(seed, STREAM_FLUSH_SC, node as u64, w);
-                if roll % 1000 < u64::from(self.plan.flush_per_mille) {
-                    let blocks = if roll >> 32 & 1 == 0 {
-                        system.flush_storage_cache(node)
-                    } else {
-                        system.shrink_storage_cache(node, w as usize)
-                    };
-                    self.stats.cache_flushes += 1;
-                    self.stats.flushed_blocks += blocks as u64;
-                    obs.fault(FaultEvent::CacheFlush {
-                        layer: Layer::Storage,
-                        node,
-                        blocks,
-                    });
-                }
+        for (layer, nodes) in [(Layer::Io, io_nodes), (Layer::Storage, storage_nodes)] {
+            for node in 0..nodes {
+                let Some(fault) = self.plan.cache_fault(layer, node, w) else {
+                    continue;
+                };
+                let blocks = system.apply_cache_fault(layer, node, fault, w as usize);
+                self.stats.cache_flushes += 1;
+                self.stats.flushed_blocks += blocks as u64;
+                obs.fault(FaultEvent::CacheFlush {
+                    layer,
+                    node,
+                    blocks,
+                });
             }
         }
     }

@@ -32,8 +32,8 @@ pub mod disk;
 pub mod error;
 pub mod fault;
 pub mod fxhash;
+pub mod oracle;
 pub mod policies;
-pub mod seedpath;
 pub mod sim;
 pub mod stackdist;
 pub mod stats;
@@ -47,9 +47,9 @@ pub use disk::DiskModel;
 pub use error::SimError;
 pub use fault::{FaultHook, FaultPlan, FaultState, NoFaults, RetryModel};
 pub use fxhash::{FxBuildHasher, FxHashMap, FxHasher};
+pub use oracle::simulate_oracle;
 pub use policies::karma::KarmaHints;
 pub use policies::PolicyKind;
-pub use seedpath::simulate_seed;
 pub use sim::{
     simulate, simulate_faulted, simulate_faulted_observed, simulate_observed, RunConfig,
 };

@@ -228,7 +228,8 @@ impl KarmaAssignment {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::collections::HashMap;
+    use crate::oracle::KarmaRule;
+    use std::collections::BTreeSet;
 
     fn topo() -> Topology {
         // total io cache = 2*8 = 16 blocks; storage = 1*16 = 16 blocks.
@@ -306,97 +307,11 @@ mod tests {
         assert_ne!(asg.level_for(1, 0), KarmaLevel::Io);
     }
 
-    /// The allocation as it stood with one admission `HashMap` per I/O
-    /// node and a per-file fallback `HashMap`.
-    struct HashMapRule {
-        io_admitted: Vec<HashMap<FileId, bool>>,
-        level_of_file: HashMap<FileId, KarmaLevel>,
-    }
-
-    impl HashMapRule {
-        fn allocate(hints: &KarmaHints, topo: &Topology) -> HashMapRule {
-            let mut io_admitted: Vec<HashMap<FileId, bool>> = Vec::new();
-            for g in 0..topo.io_nodes {
-                let mut ranges = if hints.group_ranges.len() == topo.io_nodes {
-                    hints.group_ranges[g].clone()
-                } else {
-                    hints.ranges.clone()
-                };
-                sort_by_gain(&mut ranges);
-                let mut left = topo.io_cache_blocks as i128;
-                let mut admitted = HashMap::new();
-                for r in &ranges {
-                    if r.num_blocks as i128 <= left {
-                        left -= r.num_blocks as i128;
-                        admitted.insert(r.file, true);
-                    }
-                }
-                io_admitted.push(admitted);
-            }
-            let mut ranges = hints.ranges.clone();
-            sort_by_gain(&mut ranges);
-            let mut storage_left = topo.total_storage_cache() as i128;
-            let mut level_of_file = HashMap::new();
-            for r in &ranges {
-                if io_admitted
-                    .iter()
-                    .all(|m| m.get(&r.file).copied().unwrap_or(false))
-                {
-                    level_of_file.insert(r.file, KarmaLevel::Io);
-                    continue;
-                }
-                let level = if r.num_blocks as i128 <= storage_left {
-                    storage_left -= r.num_blocks as i128;
-                    KarmaLevel::Storage
-                } else {
-                    KarmaLevel::Bypass
-                };
-                level_of_file.insert(r.file, level);
-            }
-            HashMapRule {
-                io_admitted,
-                level_of_file,
-            }
-        }
-
-        fn level_for(&self, io_idx: usize, file: FileId) -> KarmaLevel {
-            if let Some(m) = self.io_admitted.get(io_idx) {
-                if m.get(&file).copied().unwrap_or(false) {
-                    return KarmaLevel::Io;
-                }
-            }
-            if self.io_admitted.is_empty() {
-                return KarmaLevel::Io;
-            }
-            self.level_of_file
-                .get(&file)
-                .copied()
-                .unwrap_or(KarmaLevel::Io)
-        }
-
-        fn census(&self) -> (usize, usize, usize) {
-            let mut c = (0, 0, 0);
-            let files: std::collections::BTreeSet<FileId> = self
-                .level_of_file
-                .keys()
-                .copied()
-                .chain(self.io_admitted.iter().flat_map(|m| m.keys().copied()))
-                .collect();
-            for f in files {
-                match self.level_for(0, f) {
-                    KarmaLevel::Io => c.0 += 1,
-                    KarmaLevel::Storage => c.1 += 1,
-                    KarmaLevel::Bypass => c.2 += 1,
-                }
-            }
-            c
-        }
-    }
-
-    /// The dense table answers exactly what the `HashMap` rule did, for
-    /// every (I/O node, file) pair: hinted, unhinted and past-the-end
-    /// files, per-group and global hints, duplicate ranges, and one I/O
-    /// node index past the topology. The census agrees too.
+    /// The dense table answers exactly what the oracle's hash-map rule
+    /// does, for every (I/O node, file) pair: hinted, unhinted and
+    /// past-the-end files, per-group and global hints, duplicate ranges,
+    /// and one I/O node index past the topology. The census agrees with
+    /// the rule's too.
     #[test]
     fn dense_table_matches_hashmap_rule() {
         fn next(x: &mut u64, n: u64) -> u64 {
@@ -407,10 +322,21 @@ mod tests {
         }
         fn random_ranges(x: &mut u64, n: u64) -> Vec<RangeHint> {
             (0..n)
-                .map(|_| RangeHint {
-                    file: next(x, 9) as FileId,
-                    num_blocks: 1 + next(x, 20),
-                    accesses: next(x, 2000),
+                .map(|_| {
+                    let file = next(x, 9) as FileId;
+                    let num_blocks = 1 + next(x, 20);
+                    // Every other range takes one of four per-block gains,
+                    // so equal gains on different files (the tie-break)
+                    // come up often.
+                    let accesses = match next(x, 2) {
+                        0 => next(x, 2000),
+                        _ => num_blocks * 25 * (1 + next(x, 4)),
+                    };
+                    RangeHint {
+                        file,
+                        num_blocks,
+                        accesses,
+                    }
                 })
                 .collect()
         }
@@ -418,6 +344,7 @@ mod tests {
             KarmaHints::default(),
             KarmaHints::from_triples(&[(0, 6, 1000), (1, 10, 100), (2, 10, 10)]),
             KarmaHints::from_triples(&[(3, 4, 90), (3, 12, 100), (7, 2, 5)]),
+            KarmaHints::from_triples(&[(1, 8, 100), (0, 8, 100), (2, 16, 200)]),
         ];
         let mut x: u64 = 0x9E37_79B9_7F4A_7C15;
         for _ in 0..200 {
@@ -443,7 +370,7 @@ mod tests {
         for (case, hints) in cases.iter().enumerate() {
             topo.io_cache_blocks = [4, 8, 12][case % 3];
             let asg = KarmaAssignment::allocate(hints, &topo);
-            let rule = HashMapRule::allocate(hints, &topo);
+            let rule = KarmaRule::allocate(hints, &topo);
             for io_idx in 0..=topo.io_nodes {
                 for file in 0..12 {
                     assert_eq!(
@@ -453,7 +380,19 @@ mod tests {
                     );
                 }
             }
-            assert_eq!(asg.census(), rule.census(), "case {case}");
+            let hinted: BTreeSet<FileId> = (rule.level_of_file.keys())
+                .chain(rule.io_admitted.iter().flatten())
+                .copied()
+                .collect();
+            let mut census = (0, 0, 0);
+            for f in hinted {
+                match rule.level_for(0, f) {
+                    KarmaLevel::Io => census.0 += 1,
+                    KarmaLevel::Storage => census.1 += 1,
+                    KarmaLevel::Bypass => census.2 += 1,
+                }
+            }
+            assert_eq!(asg.census(), census, "case {case}");
         }
         let none = KarmaAssignment::default();
         for file in [0, 1, 42, FileId::MAX] {

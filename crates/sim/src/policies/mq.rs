@@ -152,6 +152,7 @@ impl LruCore {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::oracle::NaiveMq;
 
     fn b(i: u64) -> BlockAddr {
         BlockAddr::new(0, i)
@@ -233,6 +234,63 @@ mod tests {
         // Still usable after the flush.
         mq.insert(b(3));
         assert!(mq.contains(b(3)));
+    }
+
+    /// MQ against the oracle's eight plain lists, operation for
+    /// operation: hits, victims, counters and every queue's contents with
+    /// their access counts. The block universe is barely larger than the
+    /// cache and most requests go to resident blocks, so hot blocks pass
+    /// the 128-access ceiling while newcomers keep forcing evictions out
+    /// of the top queues.
+    #[test]
+    fn mq_matches_oracle_lists() {
+        let mut x: u64 = 0x3C6E_F372_FE94_F82B;
+        let mut next = move |n: u64| {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x % n
+        };
+        let (mut capped, mut top_evictions) = (0, 0);
+        for capacity in [1usize, 2, 3, 4, 8] {
+            for hot_per_mille in [500, 990, 998] {
+                let mut mq = MqCache::new(capacity);
+                let mut model = NaiveMq::new(capacity);
+                for step in 0..20_000 {
+                    let ctx = format!("capacity {capacity} hot {hot_per_mille} step {step}");
+                    let resident: Vec<BlockAddr> =
+                        model.queues.iter().flatten().map(|&(b, _)| b).collect();
+                    let blk = if !resident.is_empty() && next(1000) < hot_per_mille {
+                        resident[next(resident.len() as u64) as usize]
+                    } else {
+                        b(next(capacity as u64 + 2))
+                    };
+                    let w = 1 + next(3) as u32;
+                    let hit = mq.access_weighted(blk, w);
+                    assert_eq!(hit, model.lookup(blk, w), "{ctx}");
+                    if !hit {
+                        if mq.len() == capacity && mq.queues[..6].iter().all(LruCore::is_empty) {
+                            top_evictions += 1;
+                        }
+                        assert_eq!(mq.insert(blk), model.insert(blk), "{ctx}");
+                    }
+                    if next(4000) == 0 {
+                        assert_eq!(mq.invalidate_all(), model.clear(), "{ctx}");
+                    }
+                    assert_eq!(mq.stats(), model.stats, "{ctx}");
+                    for (q, (queue, listed)) in mq.queues.iter().zip(&model.queues).enumerate() {
+                        let blocks: Vec<BlockAddr> = listed.iter().map(|&(b, _)| b).collect();
+                        assert_eq!(queue.blocks_mru_to_lru(), blocks, "{ctx} queue {q}");
+                        for &(b, freq) in listed {
+                            assert_eq!(mq.meta[&b], (q, freq), "{ctx} block {b:?}");
+                        }
+                    }
+                    capped += usize::from(mq.meta.values().any(|&(_, f)| f == 128));
+                }
+            }
+        }
+        assert!(capped > 0, "no block reached the access-count ceiling");
+        assert!(top_evictions > 0, "no eviction reached the top queues");
     }
 
     #[test]

@@ -239,8 +239,8 @@ mod tests {
         let err = SimReport::from_json(&bad).unwrap_err();
         assert!(err.contains("999"), "{err}");
         // Missing version entirely (pre-versioned artifact).
-        let legacy = Json::obj().set("disk_reads", 1u64);
-        assert!(SimReport::from_json(&legacy).is_err());
+        let unversioned = Json::obj().set("disk_reads", 1u64);
+        assert!(SimReport::from_json(&unversioned).is_err());
         // Truncated object.
         let partial = Json::obj().set("schema_version", u64::from(SimReport::SCHEMA_VERSION));
         assert!(SimReport::from_json(&partial).is_err());

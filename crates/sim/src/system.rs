@@ -4,7 +4,7 @@ use crate::block::BlockAddr;
 use crate::cache::{CacheStats, SetAssocCache};
 use crate::disk::{DiskModel, DiskState};
 use crate::error::SimError;
-use crate::fault::{FaultHook, NoFaults};
+use crate::fault::{CacheFault, FaultHook, NoFaults};
 use crate::policies::demote::{self, DemoteOutcome};
 use crate::policies::karma::{KarmaAssignment, KarmaHints, KarmaLevel};
 use crate::policies::mq::MqCache;
@@ -50,22 +50,20 @@ impl CostModel {
 /// The observed variants ([`StorageSystem::access_observed`]) additionally
 /// report per-event telemetry through a monomorphized
 /// [`flo_obs::Observer`]; the plain entry points instantiate them with
-/// [`NullObserver`], compiling to the uninstrumented walk (the frozen
-/// copy in [`crate::seedpath`] exists to assert exactly that).
-///
-/// Fields are `pub(crate)` so `seedpath` can drive the same state through
-/// its frozen access walk.
+/// [`NullObserver`], compiling to the uninstrumented walk. Every walk is
+/// checked bit for bit against the independent model in
+/// [`crate::oracle`].
 pub struct StorageSystem {
-    pub(crate) topo: Topology,
-    pub(crate) policy: PolicyKind,
-    pub(crate) costs: CostModel,
-    pub(crate) disk_model: DiskModel,
-    pub(crate) io_caches: Vec<SetAssocCache>,
-    pub(crate) storage_caches: Vec<SetAssocCache>,
-    pub(crate) mq_caches: Vec<MqCache>,
-    pub(crate) disks: Vec<DiskState>,
-    pub(crate) karma: KarmaAssignment,
-    pub(crate) demotions: u64,
+    topo: Topology,
+    policy: PolicyKind,
+    costs: CostModel,
+    disk_model: DiskModel,
+    io_caches: Vec<SetAssocCache>,
+    storage_caches: Vec<SetAssocCache>,
+    mq_caches: Vec<MqCache>,
+    disks: Vec<DiskState>,
+    karma: KarmaAssignment,
+    demotions: u64,
 }
 
 impl StorageSystem {
@@ -379,36 +377,27 @@ impl StorageSystem {
         self.costs.io_hit_ms + self.costs.storage_hit_ms + disk
     }
 
-    /// Fault-injected full flush of I/O node `node`'s cache; returns the
-    /// resident blocks dropped.
-    pub(crate) fn flush_io_cache(&mut self, node: usize) -> usize {
-        self.io_caches[node].invalidate_all()
-    }
-
-    /// Fault-injected capacity shrink of I/O node `node`'s cache: drops
-    /// every second set (parity chosen by the fault schedule).
-    pub(crate) fn shrink_io_cache(&mut self, node: usize, parity: usize) -> usize {
-        self.io_caches[node].invalidate_half(parity)
-    }
-
-    /// Fault-injected full flush of storage node `node`'s cache (the MQ
-    /// cache under [`PolicyKind::MqSecondLevel`], the set-associative one
-    /// otherwise).
-    pub(crate) fn flush_storage_cache(&mut self, node: usize) -> usize {
-        if self.policy == PolicyKind::MqSecondLevel {
-            self.mq_caches[node].invalidate_all()
-        } else {
-            self.storage_caches[node].invalidate_all()
-        }
-    }
-
-    /// Fault-injected capacity shrink of storage node `node`'s cache. MQ
-    /// caches have no set structure, so they flush fully.
-    pub(crate) fn shrink_storage_cache(&mut self, node: usize, parity: usize) -> usize {
-        if self.policy == PolicyKind::MqSecondLevel {
-            self.mq_caches[node].invalidate_all()
-        } else {
-            self.storage_caches[node].invalidate_half(parity)
+    /// Apply a fault-injected flush or half-capacity shrink (dropping the
+    /// sets of the given parity) to the cache of `layer` node `node`;
+    /// returns the resident blocks dropped. MQ caches have no set
+    /// structure, so a shrink flushes them fully.
+    pub(crate) fn apply_cache_fault(
+        &mut self,
+        layer: Layer,
+        node: usize,
+        fault: CacheFault,
+        parity: usize,
+    ) -> usize {
+        let cache = match layer {
+            Layer::Io => &mut self.io_caches[node],
+            Layer::Storage if self.policy == PolicyKind::MqSecondLevel => {
+                return self.mq_caches[node].invalidate_all();
+            }
+            Layer::Storage => &mut self.storage_caches[node],
+        };
+        match fault {
+            CacheFault::Flush => cache.invalidate_all(),
+            CacheFault::Shrink => cache.invalidate_half(parity),
         }
     }
 

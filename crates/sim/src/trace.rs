@@ -113,50 +113,6 @@ impl ThreadTrace {
     }
 }
 
-/// Round-robin interleaving of several thread traces: each round takes one
-/// request from every unfinished trace, modelling concurrently executing
-/// threads contending for the shared caches.
-pub struct Interleaver<'a> {
-    traces: &'a [ThreadTrace],
-    positions: Vec<usize>,
-    current: usize,
-    remaining: usize,
-}
-
-impl<'a> Interleaver<'a> {
-    /// Start interleaving.
-    pub fn new(traces: &'a [ThreadTrace]) -> Interleaver<'a> {
-        let remaining = traces.iter().map(ThreadTrace::len).sum();
-        Interleaver {
-            traces,
-            positions: vec![0; traces.len()],
-            current: 0,
-            remaining,
-        }
-    }
-}
-
-impl Iterator for Interleaver<'_> {
-    /// `(trace index, request)` pairs in global interleaved order.
-    type Item = (usize, TraceEntry);
-
-    fn next(&mut self) -> Option<(usize, TraceEntry)> {
-        if self.remaining == 0 {
-            return None;
-        }
-        loop {
-            let t = self.current;
-            self.current = (self.current + 1) % self.traces.len();
-            let pos = self.positions[t];
-            if pos < self.traces[t].entries.len() {
-                self.positions[t] = pos + 1;
-                self.remaining -= 1;
-                return Some((t, self.traces[t].entries[pos]));
-            }
-        }
-    }
-}
-
 /// Fair but *jittered* interleaving: requests are drawn from the threads
 /// at equal average rates, but the per-step order is deterministic
 /// pseudo-random instead of strict rotation. Real concurrently-executing
@@ -288,65 +244,6 @@ mod tests {
     }
 
     #[test]
-    fn interleaver_round_robin() {
-        let mut t0 = ThreadTrace::new(0, 0);
-        t0.push(b(1));
-        t0.push(b(2));
-        let mut t1 = ThreadTrace::new(1, 1);
-        t1.push(b(10));
-        t1.push(b(20));
-        let traces = vec![t0, t1];
-        let order: Vec<(usize, BlockAddr)> = Interleaver::new(&traces)
-            .map(|(t, e)| (t, e.block))
-            .collect();
-        assert_eq!(order, vec![(0, b(1)), (1, b(10)), (0, b(2)), (1, b(20))]);
-    }
-
-    #[test]
-    fn interleaver_handles_ragged_lengths() {
-        let mut t0 = ThreadTrace::new(0, 0);
-        t0.push(b(1));
-        let mut t1 = ThreadTrace::new(1, 1);
-        for i in 0..3 {
-            t1.push(b(10 + i));
-        }
-        let traces = vec![t0, t1];
-        let order: Vec<(usize, BlockAddr)> = Interleaver::new(&traces)
-            .map(|(t, e)| (t, e.block))
-            .collect();
-        assert_eq!(order.len(), 4);
-        assert_eq!(order[0], (0, b(1)));
-        assert_eq!(&order[1..], &[(1, b(10)), (1, b(11)), (1, b(12))]);
-    }
-
-    #[test]
-    fn interleaver_with_empty_traces() {
-        let traces = vec![ThreadTrace::new(0, 0), ThreadTrace::new(1, 1)];
-        assert_eq!(Interleaver::new(&traces).count(), 0);
-    }
-
-    #[test]
-    fn interleaver_consumes_everything_once() {
-        let mut t0 = ThreadTrace::new(0, 0);
-        let mut t1 = ThreadTrace::new(1, 2);
-        for i in 0..5 {
-            t0.push(b(i));
-        }
-        for i in 0..2 {
-            t1.push(b(100 + i));
-        }
-        let traces = vec![t0.clone(), t1.clone()];
-        let collected: Vec<(usize, TraceEntry)> = Interleaver::new(&traces).collect();
-        assert_eq!(collected.len(), 7);
-        let from_t0: Vec<TraceEntry> = collected
-            .iter()
-            .filter(|(t, _)| *t == 0)
-            .map(|&(_, e)| e)
-            .collect();
-        assert_eq!(from_t0, t0.entries);
-    }
-
-    #[test]
     fn jitter_interleaver_consumes_everything_in_thread_order() {
         let mut t0 = ThreadTrace::new(0, 0);
         let mut t1 = ThreadTrace::new(1, 1);
@@ -399,7 +296,7 @@ mod tests {
         t0.push(b(1));
         t0.push(b(1));
         let traces = vec![t0];
-        let reqs: Vec<TraceEntry> = Interleaver::new(&traces).map(|(_, e)| e).collect();
+        let reqs: Vec<TraceEntry> = JitterInterleaver::new(&traces, 3).map(|(_, e)| e).collect();
         assert_eq!(
             reqs,
             vec![TraceEntry {

@@ -5,7 +5,7 @@
 //!
 //! * the instrumented path under [`flo_obs::NullObserver`] (i.e. plain
 //!   [`flo_sim::simulate`]) must produce bit-identical reports to the
-//!   frozen pre-instrumentation copy in [`flo_sim::seedpath`], and
+//!   independent naive model [`flo_sim::simulate_oracle`], and
 //! * a [`flo_obs::MetricsObserver`] must not perturb the simulation,
 //!   while its own counters must agree with the report it rode along on.
 //!
@@ -14,9 +14,12 @@
 
 use flo_linalg::SplitMix64;
 use flo_obs::{Layer, MetricsObserver, NullObserver, Observer};
+use flo_sim::oracle::report_diff;
+use flo_sim::policies::karma::RangeHint;
 use flo_sim::{
-    simulate, simulate_observed, simulate_seed, simulate_sweep, simulate_sweep_observed, BlockAddr,
-    PolicyKind, RunConfig, SimReport, StorageSystem, SweepPoint, ThreadTrace, Topology,
+    simulate, simulate_observed, simulate_oracle, simulate_sweep, simulate_sweep_observed,
+    BlockAddr, KarmaHints, PolicyKind, RunConfig, SimReport, StorageSystem, SweepPoint,
+    ThreadTrace, Topology,
 };
 
 fn block_stream(rng: &mut SplitMix64) -> Vec<u64> {
@@ -39,64 +42,60 @@ fn random_traces(rng: &mut SplitMix64, topo: &Topology) -> Vec<ThreadTrace> {
 
 fn random_topology(rng: &mut SplitMix64) -> Topology {
     let mut topo = Topology::tiny();
-    topo.cache_ways = [2, 3, 4, usize::MAX][rng.range_usize(0, 3)];
+    topo.cache_ways = [1, 2, 3, 4, usize::MAX][rng.range_usize(0, 4)];
     topo.io_cache_blocks = rng.range_usize(2, 24);
     topo.storage_cache_blocks = rng.range_usize(2, 32);
+    topo.storage_nodes = rng.range_usize(1, 4);
+    topo.io_nodes = [1, 2, 4][rng.range_usize(0, 2)]; // divisors of the 4 compute nodes
     topo
 }
 
+/// Random KARMA hints over the traces' three files plus an unused one:
+/// global ranges, and per-I/O-node views for some cases.
+fn random_hints(rng: &mut SplitMix64, topo: &Topology) -> KarmaHints {
+    let ranges = |rng: &mut SplitMix64| -> Vec<RangeHint> {
+        (0..rng.range_usize(0, 4))
+            .map(|_| RangeHint {
+                file: rng.below(4) as u32,
+                num_blocks: 1 + rng.below(30),
+                accesses: rng.below(2000),
+            })
+            .collect()
+    };
+    let mut hints = KarmaHints {
+        ranges: ranges(rng),
+        group_ranges: Vec::new(),
+    };
+    if rng.bool() {
+        hints.group_ranges = (0..topo.io_nodes).map(|_| ranges(rng)).collect();
+    }
+    hints
+}
+
 fn assert_reports_bit_identical(a: &SimReport, b: &SimReport, tag: &str) {
-    assert_eq!(a.layers.io, b.layers.io, "{tag}: io layer");
-    assert_eq!(a.layers.storage, b.layers.storage, "{tag}: storage layer");
-    assert_eq!(a.disk_reads, b.disk_reads, "{tag}: disk reads");
-    assert_eq!(
-        a.disk_sequential_reads, b.disk_sequential_reads,
-        "{tag}: sequential reads"
-    );
-    assert_eq!(a.demotions, b.demotions, "{tag}: demotions");
-    assert_eq!(a.total_requests, b.total_requests, "{tag}: requests");
-    assert_eq!(
-        a.compute_ms_per_thread.to_bits(),
-        b.compute_ms_per_thread.to_bits(),
-        "{tag}: compute"
-    );
-    assert_eq!(
-        a.execution_time_ms.to_bits(),
-        b.execution_time_ms.to_bits(),
-        "{tag}: execution time"
-    );
-    assert_eq!(
-        a.thread_latency_ms.len(),
-        b.thread_latency_ms.len(),
-        "{tag}: thread count"
-    );
-    for (t, (x, y)) in a
-        .thread_latency_ms
-        .iter()
-        .zip(&b.thread_latency_ms)
-        .enumerate()
-    {
-        assert_eq!(x.to_bits(), y.to_bits(), "{tag}: thread {t} latency");
+    if let Some(diff) = report_diff(a, b) {
+        panic!("{tag}: {diff}");
     }
 }
 
-/// The null-observed path is the seed path: every policy, random traces
-/// and topologies, bit-exact floats.
+/// The null-observed path is the oracle's: every policy with random
+/// KARMA hints, random traces and platform shapes, bit-exact floats.
 #[test]
-fn null_observer_matches_frozen_seed_path() {
+fn null_observer_matches_oracle() {
     let mut rng = SplitMix64::new(0x0B5E_57ED);
-    for case in 0..60 {
+    for case in 0..400 {
         let topo = random_topology(&mut rng);
-        let policy = PolicyKind::extended()[rng.range_usize(0, 3)];
+        let policy = PolicyKind::extended()[case % 4];
         let traces = random_traces(&mut rng, &topo);
+        let hints = random_hints(&mut rng, &topo);
         let cfg = RunConfig {
             compute_ms_per_thread: rng.below(8) as f64,
         };
-        let mut sys_live = StorageSystem::new(topo.clone(), policy).unwrap();
-        let live = simulate(&mut sys_live, &traces, &cfg);
-        let mut sys_seed = StorageSystem::new(topo, policy).unwrap();
-        let seed = simulate_seed(&mut sys_seed, &traces, &cfg);
-        assert_reports_bit_identical(&live, &seed, &format!("case {case} ({policy:?})"));
+        let mut sys = StorageSystem::new(topo.clone(), policy).unwrap();
+        sys.set_karma_hints(&hints);
+        let live = simulate(&mut sys, &traces, &cfg);
+        let oracle = simulate_oracle(&topo, policy, &hints, None, &traces, &cfg);
+        assert_reports_bit_identical(&live, &oracle, &format!("case {case} ({policy:?})"));
     }
 }
 
@@ -234,7 +233,7 @@ fn observed_sweep_is_passive_and_consistent() {
 
 /// `Observer`'s default methods really are no-ops: a unit struct with no
 /// overrides can observe a run (exercising every callback) and the
-/// report still matches the seed path.
+/// report still matches the oracle.
 #[test]
 fn default_observer_methods_are_noops() {
     struct Inert;
@@ -244,10 +243,16 @@ fn default_observer_methods_are_noops() {
     let topo = random_topology(&mut rng);
     let traces = random_traces(&mut rng, &topo);
     let cfg = RunConfig::default();
-    let mut sys_a = StorageSystem::new(topo.clone(), PolicyKind::DemoteLru).unwrap();
-    let a = simulate_observed(&mut sys_a, &traces, &cfg, &mut Inert);
-    let mut sys_b = StorageSystem::new(topo, PolicyKind::DemoteLru).unwrap();
-    let b = simulate_seed(&mut sys_b, &traces, &cfg);
+    let mut sys = StorageSystem::new(topo.clone(), PolicyKind::DemoteLru).unwrap();
+    let a = simulate_observed(&mut sys, &traces, &cfg, &mut Inert);
+    let b = simulate_oracle(
+        &topo,
+        PolicyKind::DemoteLru,
+        &KarmaHints::default(),
+        None,
+        &traces,
+        &cfg,
+    );
     assert_reports_bit_identical(&a, &b, "inert observer");
     // And NullObserver advertises itself as disabled while a default
     // impl stays enabled (batch work like occupancy snapshots keys on it).

@@ -4,12 +4,14 @@
 //! (unavailable offline); failures carry a case index for replay.
 
 use flo_linalg::SplitMix64;
+use flo_obs::FaultCounters;
+use flo_sim::oracle::report_diff;
 use flo_sim::policies::demote;
 use flo_sim::stackdist::StackEngine;
 use flo_sim::{
-    simulate, simulate_faulted, simulate_sweep, BlockAddr, FaultPlan, FaultState, LruCore,
-    MultiCapacityStack, PolicyKind, RunConfig, SimReport, StorageSystem, SweepPoint, ThreadTrace,
-    Topology,
+    simulate, simulate_faulted, simulate_oracle, simulate_sweep, BlockAddr, FaultPlan, FaultState,
+    KarmaHints, LruCore, MultiCapacityStack, PolicyKind, RunConfig, SimReport, StorageSystem,
+    SweepPoint, ThreadTrace, Topology,
 };
 
 fn block_stream(rng: &mut SplitMix64) -> Vec<u64> {
@@ -142,17 +144,18 @@ fn random_traces(rng: &mut SplitMix64, topo: &Topology) -> Vec<ThreadTrace> {
         .collect()
 }
 
-/// The one-pass sweep engine matches a direct LRU simulation of every
-/// swept point — full-report equality (counters and bit-exact floats)
-/// for random traces, capacities, and set counts.
+/// The one-pass sweep engine matches a direct LRU simulation — the
+/// oracle's — of every swept point: full-report equality (counters and
+/// bit-exact floats) for random traces, capacities, and set counts.
 #[test]
 fn sweep_matches_direct_lru_simulation() {
     let mut rng = SplitMix64::new(0x5EE9_D157);
-    for case in 0..25 {
+    for case in 0..100 {
         let mut topo = Topology::tiny();
         // Small ways force multi-set geometries; usize::MAX keeps the
         // fully-associative path covered.
-        topo.cache_ways = [2, 3, 4, usize::MAX][rng.range_usize(0, 3)];
+        topo.cache_ways = [1, 2, 3, 4, usize::MAX][rng.range_usize(0, 4)];
+        topo.storage_nodes = rng.range_usize(1, 4);
         let points: Vec<SweepPoint> = (0..rng.range_usize(1, 5))
             .map(|_| SweepPoint {
                 io_cache_blocks: rng.range_usize(1, 48),
@@ -168,43 +171,9 @@ fn sweep_matches_direct_lru_simulation() {
             let mut t = topo.clone();
             t.io_cache_blocks = p.io_cache_blocks;
             t.storage_cache_blocks = p.storage_cache_blocks;
-            let mut sys = StorageSystem::new(t, PolicyKind::LruInclusive).unwrap();
-            let direct = simulate(&mut sys, &traces, &cfg);
-            let s = &swept[i];
-            let tag = format!("case {case} point {i}");
-            assert_eq!(s.layers.io.accesses, direct.layers.io.accesses, "{tag}");
-            assert_eq!(s.layers.io.hits, direct.layers.io.hits, "{tag}");
-            assert_eq!(
-                s.layers.storage.accesses, direct.layers.storage.accesses,
-                "{tag}"
-            );
-            assert_eq!(s.layers.storage.hits, direct.layers.storage.hits, "{tag}");
-            assert_eq!(s.disk_reads, direct.disk_reads, "{tag}");
-            assert_eq!(
-                s.disk_sequential_reads, direct.disk_sequential_reads,
-                "{tag}"
-            );
-            assert_eq!(s.demotions, direct.demotions, "{tag}");
-            assert_eq!(s.total_requests, direct.total_requests, "{tag}");
-            assert_eq!(
-                s.compute_ms_per_thread.to_bits(),
-                direct.compute_ms_per_thread.to_bits(),
-                "{tag}"
-            );
-            assert_eq!(
-                s.execution_time_ms.to_bits(),
-                direct.execution_time_ms.to_bits(),
-                "{tag}"
-            );
-            assert_eq!(s.thread_latency_ms.len(), direct.thread_latency_ms.len());
-            for (t_idx, (a, b)) in s
-                .thread_latency_ms
-                .iter()
-                .zip(&direct.thread_latency_ms)
-                .enumerate()
-            {
-                assert_eq!(a.to_bits(), b.to_bits(), "{tag} thread {t_idx}");
-            }
+            let hints = KarmaHints::default();
+            let direct = simulate_oracle(&t, PolicyKind::LruInclusive, &hints, None, &traces, &cfg);
+            assert_reports_bit_identical(&swept[i], &direct, &format!("case {case} point {i}"));
         }
     }
 }
@@ -294,39 +263,8 @@ fn nested_capacity_growth_preserves_io_hits() {
 }
 
 fn assert_reports_bit_identical(a: &SimReport, b: &SimReport, tag: &str) {
-    assert_eq!(a.layers.io.accesses, b.layers.io.accesses, "{tag}");
-    assert_eq!(a.layers.io.hits, b.layers.io.hits, "{tag}");
-    assert_eq!(
-        a.layers.storage.accesses, b.layers.storage.accesses,
-        "{tag}"
-    );
-    assert_eq!(a.layers.storage.hits, b.layers.storage.hits, "{tag}");
-    assert_eq!(a.disk_reads, b.disk_reads, "{tag}");
-    assert_eq!(a.disk_sequential_reads, b.disk_sequential_reads, "{tag}");
-    assert_eq!(a.demotions, b.demotions, "{tag}");
-    assert_eq!(a.total_requests, b.total_requests, "{tag}");
-    assert_eq!(
-        a.compute_ms_per_thread.to_bits(),
-        b.compute_ms_per_thread.to_bits(),
-        "{tag}"
-    );
-    assert_eq!(
-        a.execution_time_ms.to_bits(),
-        b.execution_time_ms.to_bits(),
-        "{tag}"
-    );
-    assert_eq!(
-        a.thread_latency_ms.len(),
-        b.thread_latency_ms.len(),
-        "{tag}"
-    );
-    for (t, (x, y)) in a
-        .thread_latency_ms
-        .iter()
-        .zip(&b.thread_latency_ms)
-        .enumerate()
-    {
-        assert_eq!(x.to_bits(), y.to_bits(), "{tag} thread {t}");
+    if let Some(diff) = report_diff(a, b) {
+        panic!("{tag}: {diff}");
     }
 }
 
@@ -367,6 +305,51 @@ fn quiet_fault_plan_matches_no_plan_path() {
         };
         assert_reports_bit_identical(&plain, &quiet, &format!("case {case} policy {policy:?}"));
     }
+}
+
+/// Faulted runs match the oracle's replay of the same plan, for every
+/// policy with random KARMA hints, random platform shapes, fault windows
+/// of 1–40 requests and fault rates up to 20× the degraded defaults —
+/// and across the cases every fault class fires.
+#[test]
+fn faulted_runs_match_oracle() {
+    let mut rng = SplitMix64::new(0xFA_0AC1E);
+    let mut fired = FaultCounters::default();
+    for case in 0..400 {
+        let mut topo = Topology::tiny();
+        topo.cache_ways = [1, 2, 3, 4, usize::MAX][rng.range_usize(0, 4)];
+        topo.storage_nodes = rng.range_usize(1, 4);
+        topo.io_nodes = [1, 2, 4][rng.range_usize(0, 2)];
+        topo.io_cache_blocks = rng.range_usize(2, 32);
+        topo.storage_cache_blocks = rng.range_usize(4, 48);
+        let traces = random_traces(&mut rng, &topo);
+        let cfg = RunConfig {
+            compute_ms_per_thread: rng.below(8) as f64,
+        };
+        let mut plan = FaultPlan::with_intensity(rng.next_u64(), rng.below(2001) as f64 / 100.0);
+        plan.window = rng.range_usize(1, 40) as u64;
+        plan.straggler_multiplier = 1.0 + rng.below(50) as f64 / 10.0;
+        plan.retry.max_retries = rng.below(5) as u32;
+        plan.retry.backoff = 1.0 + rng.below(30) as f64 / 10.0;
+        let files = (0..4u32).map(|f| (f, 1 + rng.below(30), rng.below(2000)));
+        let hints = KarmaHints::from_triples(&files.collect::<Vec<_>>());
+        let policy = PolicyKind::extended()[case % 4];
+        let mut sys = StorageSystem::new(topo.clone(), policy).unwrap();
+        sys.set_karma_hints(&hints);
+        let mut faults = FaultState::new(plan).unwrap();
+        let live = simulate_faulted(&mut sys, &traces, &cfg, &mut faults);
+        let oracle = simulate_oracle(&topo, policy, &hints, Some(&plan), &traces, &cfg);
+        assert_reports_bit_identical(&live, &oracle, &format!("case {case} ({policy:?})"));
+        let s = faults.stats();
+        fired.outages += s.outages;
+        fired.failovers += s.failovers;
+        fired.straggler_reads += s.straggler_reads;
+        fired.retries += s.retries;
+        fired.cache_flushes += s.cache_flushes;
+    }
+    assert!(fired.outages > 0 && fired.failovers > 0, "{fired:?}");
+    assert!(fired.straggler_reads > 0 && fired.retries > 0, "{fired:?}");
+    assert!(fired.cache_flushes > 0, "{fired:?}");
 }
 
 /// Striping never routes a block outside the storage nodes and is

@@ -108,7 +108,8 @@ impl StoreSpec {
     }
 
     /// The storage node holding `block` — identical to
-    /// [`Topology::storage_node_of_block`]'s PVFS round-robin striping,
+    /// [`Topology::storage_node_of_block`](flo_sim::Topology::storage_node_of_block)'s
+    /// PVFS round-robin striping,
     /// restated here so a store can be opened from its superblock alone.
     pub fn node_of_block(&self, block: BlockAddr) -> usize {
         (block.index % u64::from(self.storage_nodes)) as usize

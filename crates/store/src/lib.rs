@@ -1,12 +1,12 @@
 //! flo-store: a real-bytes storage backend for optimized layouts.
 //!
 //! Everything upstream of this crate *models* the storage hierarchy;
-//! flo-store *builds* it. The [`materialize`] pass takes the block map
-//! an optimized [`FileLayout`](https://docs.rs) produces — expressed as
+//! flo-store *builds* it. The [`materialize()`] pass takes the block map
+//! an optimized `flo_core::FileLayout` produces — expressed as
 //! a [`StoreSpec`] — and writes per-storage-node stripe files of real,
 //! checksummed blocks, sealed by a versioned superblock that commits
 //! the generation atomically. The [`Store`] read path serves verified
-//! preads from a sealed generation; the [`replay`] pass drives the same
+//! preads from a sealed generation; the [`replay()`] pass drives the same
 //! interleaved trace the simulator consumes through real
 //! [`BlockCache`]s in front of that store, producing a
 //! [`MeasuredReport`] whose per-layer hit statistics are bit-comparable
@@ -19,9 +19,9 @@
 //! policies; the `store-smoke` CI job gates on the agreement.
 //!
 //! Module map:
-//! - [`format`] — on-disk encoding: superblock, stripe headers, block
+//! - [`format`](mod@format) — on-disk encoding: superblock, stripe headers, block
 //!   slots, checksums, deterministic block fills.
-//! - [`materialize`] — the write path: generation-numbered stripes,
+//! - [`materialize`](mod@materialize) — the write path: generation-numbered stripes,
 //!   write-back or write-through through a [`BlockCache`], strict flush
 //!   ordering (data → fsync → superblock → fsync → rename), crash
 //!   points for consistency tests.
@@ -30,7 +30,9 @@
 //! - [`cache`] — a sharded-by-node block cache holding real buffers,
 //!   indexed by the simulator's own `SetAssocCache` so measured hit
 //!   streams match simulated ones exactly.
-//! - [`replay`] — the measurement pass.
+//! - [`replay`](mod@replay) — the measurement pass. Its tests hold the
+//!   measured reports to `flo_sim::simulate_oracle`, which shares no
+//!   cache index with the store.
 //! - [`error`] — typed failures; corruption is always an error, never a
 //!   panic.
 

@@ -12,7 +12,10 @@
 //! run the measured per-layer hit/miss statistics are **bit-identical**
 //! to the simulated ones. That identity is what `figm` and the
 //! `store-smoke` CI job assert; any drift between the two walks is a
-//! bug in one of them.
+//! bug in one of them. Since the store indexes its caches with the
+//! simulator's own `SetAssocCache`, the unit tests below hold the
+//! replay to [`flo_sim::simulate_oracle`] instead, whose naive caches
+//! share nothing with that index.
 //!
 //! Latency is charged from the same [`CostModel`]/[`DiskModel`] the
 //! simulator uses (with sequentiality classified by a mirrored
@@ -429,9 +432,24 @@ mod tests {
     use super::*;
     use crate::format::{FileBlocks, StoreSpec};
     use crate::materialize::{materialize, MaterializeOptions};
-    use flo_sim::{simulate, simulate_faulted, FaultState, RunConfig, StorageSystem};
+    use flo_sim::{
+        simulate_faulted, simulate_oracle, FaultState, RunConfig, SimReport, StorageSystem,
+    };
     use std::fs;
     use std::path::PathBuf;
+
+    /// The naive oracle's report for the same run: it shares no cache
+    /// index with the store, so these comparisons catch an indexing bug
+    /// in either.
+    fn oracle(
+        topo: &Topology,
+        policy: PolicyKind,
+        hints: &KarmaHints,
+        plan: Option<&FaultPlan>,
+        traces: &[ThreadTrace],
+    ) -> SimReport {
+        simulate_oracle(topo, policy, hints, plan, traces, &RunConfig::default())
+    }
 
     fn topo() -> Topology {
         Topology {
@@ -501,9 +519,13 @@ mod tests {
             ..ReplayOptions::default()
         };
         let measured = replay(&store, &topo, &traces, &opts).unwrap();
-
-        let mut sys = StorageSystem::new(topo.clone(), PolicyKind::LruInclusive).unwrap();
-        let sim = simulate(&mut sys, &traces, &RunConfig::default());
+        let sim = oracle(
+            &topo,
+            PolicyKind::LruInclusive,
+            &KarmaHints::default(),
+            None,
+            &traces,
+        );
 
         assert_eq!(measured.io, sim.layers.io, "I/O layer stats must match");
         assert_eq!(measured.storage, sim.layers.storage);
@@ -525,11 +547,18 @@ mod tests {
     #[test]
     fn karma_replay_matches_simulation() {
         let topo = topo();
-        // One hot small file (→ Io), one medium (→ Storage), one large
-        // cold file (→ Bypass).
-        let files = [(0u32, 12u64), (1, 60), (2, 400)];
+        // Two hot small files sharing the I/O caches (→ Io), two medium
+        // ones sharing the storage caches (→ Storage), one large cold
+        // file (→ Bypass). Sharing makes the files' set offsets matter.
+        let files = [(0u32, 12u64), (1, 60), (2, 400), (4, 8), (6, 30)];
         let traces = traces(&topo, &files);
-        let hints = KarmaHints::from_triples(&[(0, 12, 4000), (1, 60, 900), (2, 400, 300)]);
+        let hints = KarmaHints::from_triples(&[
+            (0, 12, 4000),
+            (1, 60, 900),
+            (2, 400, 300),
+            (4, 8, 3000),
+            (6, 30, 600),
+        ]);
         let dir = tmpdir("karma");
         materialize(&dir, &spec(&files), &MaterializeOptions::default()).unwrap();
         let store = Store::open(&dir).unwrap();
@@ -539,14 +568,19 @@ mod tests {
             ..ReplayOptions::default()
         };
         let measured = replay(&store, &topo, &traces, &opts).unwrap();
-
-        let mut sys = StorageSystem::new(topo.clone(), PolicyKind::Karma).unwrap();
-        sys.set_karma_hints(&hints);
-        let sim = simulate(&mut sys, &traces, &RunConfig::default());
+        let sim = oracle(&topo, PolicyKind::Karma, &hints, None, &traces);
 
         assert_eq!(measured.io, sim.layers.io);
         assert_eq!(measured.storage, sim.layers.storage);
         assert_eq!(measured.disk_reads, sim.disk_reads);
+        assert_eq!(measured.disk_sequential_reads, sim.disk_sequential_reads);
+        for (m, s) in measured
+            .thread_latency_ms
+            .iter()
+            .zip(&sim.thread_latency_ms)
+        {
+            assert!((m - s).abs() < 1e-9, "latency drift: {m} vs {s}");
+        }
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -565,11 +599,18 @@ mod tests {
             ..ReplayOptions::default()
         };
         let measured = replay(&store, &topo, &traces, &opts).unwrap();
+        let sim = oracle(
+            &topo,
+            PolicyKind::LruInclusive,
+            &KarmaHints::default(),
+            Some(&plan),
+            &traces,
+        );
 
+        // The simulator's own tally of the same schedule.
         let mut sys = StorageSystem::new(topo.clone(), PolicyKind::LruInclusive).unwrap();
         let mut faults = FaultState::new(plan).unwrap();
-        let sim = simulate_faulted(&mut sys, &traces, &RunConfig::default(), &mut faults);
-
+        simulate_faulted(&mut sys, &traces, &RunConfig::default(), &mut faults);
         assert!(measured.retries > 0, "plan must actually inject");
         assert_eq!(measured.retries, faults.stats().retries);
         assert!((measured.retry_ms - faults.stats().retry_ms).abs() < 1e-9);
