@@ -826,15 +826,7 @@ pub fn health_table(snapshot: &Json) -> Option<Table> {
     let u = |j: &Json, k: &str| j.get(k).and_then(Json::as_u64).unwrap_or(0);
     let mut t = Table::new(
         "cluster node health (client view)",
-        &[
-            "node",
-            "circuit",
-            "opens",
-            "probes",
-            "failovers",
-            "hedges",
-            "hedge wins",
-        ],
+        &["node", "circuit", "opens", "probes", "failovers"],
     );
     for (id, h) in nodes {
         t.row(vec![
@@ -843,8 +835,6 @@ pub fn health_table(snapshot: &Json) -> Option<Table> {
             u(h, "opens").to_string(),
             u(h, "probes").to_string(),
             u(h, "failovers").to_string(),
-            u(h, "hedges").to_string(),
-            u(h, "hedge_wins").to_string(),
         ]);
     }
     if let Some(b) = health.get("budget") {

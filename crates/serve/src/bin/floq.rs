@@ -21,20 +21,23 @@
 //! `--pipeline N` sends the request N times on one connection without
 //! waiting between sends and prints the N results in request order (one
 //! line each) — the client-side face of the server's pipelining.
-//! `FLO_RETRIES=K` (default 0) retries a typed `busy` response up to K
-//! times with bounded exponential backoff (seeded jitter; `FLO_SEED`
-//! replays the exact delays) before giving up.
+//! Without `--pipeline` the request goes out once, on the same path. A
+//! typed `busy` response is printed as the error it is; nothing retries
+//! it. `FLO_SEED` seeds the trace ids (and, in cluster mode, the breaker
+//! probe jitter), so a replay sends the same ids.
 //!
 //! `--cluster FILE` (or `FLO_CLUSTER=FILE` when no explicit address is
 //! given) turns on cluster mode: work requests route to the member the
 //! consistent-hash ring says owns their work key, while `ping` / `stats`
 //! / `shutdown` fan out to every member and print one aggregate JSON
 //! line (`{"nodes": [...], "totals": {...}}` for stats). An unreachable
-//! member surfaces as the typed `node-down` error — for work keys it
-//! owns, or as an inline per-node `error` entry in fan-out output.
+//! member's work keys fail over to its ring successors
+//! (`FLO_FALLBACKS`, default 2); with `FLO_FALLBACKS=0`, or once every
+//! fallback is down too, they fail with the typed `node-down` error. In
+//! fan-out output a down member is an inline per-node `error` entry.
 
 use flo_core::TargetLayers;
-use flo_serve::client::{retries_from_env, DEFAULT_WINDOW};
+use flo_serve::client::DEFAULT_WINDOW;
 use flo_serve::protocol::{parse_scheme, FaultSpec, Request, ServeError};
 use flo_serve::{Client, ClusterClient, Listen, Membership, Service};
 use flo_sim::{PolicyKind, SweepPoint};
@@ -66,8 +69,7 @@ fn usage() -> ! {
                         requests (FLO_CLUSTER=FILE is the env equivalent)
   --pipeline N          send the request N times pipelined on one connection
   --prometheus          render a telemetry snapshot as Prometheus text instead of JSON
-  env FLO_RETRIES=K     retry typed busy responses up to K times (default 0)
-  env FLO_SEED=N        seed the busy-retry jitter for exact replay
+  env FLO_SEED=N        seed trace ids (and cluster breaker probe jitter) for exact replay
   --app NAME            application (layout/simulate/sweep)
   --scale small|full    workload scale (default small)
   --scheme NAME         default|inter|compmap|reindex (default inter)
@@ -348,6 +350,7 @@ fn fan_out_cluster(
 fn main() {
     let args = parse_args();
     let req = build_request(&args);
+    let copies: Vec<Request> = (0..args.pipeline).map(|_| req.clone()).collect();
     if let Some(membership) = cluster_membership(&args) {
         let mut cc = ClusterClient::new(membership);
         let results = match req {
@@ -366,18 +369,14 @@ fn main() {
                 println!("{out}");
                 std::process::exit(i32::from(failed));
             }
-            _ if args.pipeline > 1 => {
-                let reqs: Vec<Request> = (0..args.pipeline).map(|_| req.clone()).collect();
-                cc.call_many(&reqs, args.deadline_ms, DEFAULT_WINDOW)
-            }
-            _ => vec![cc.call(&req, args.deadline_ms)],
+            _ => cc.call_many(&copies, args.deadline_ms, DEFAULT_WINDOW),
         };
         finish(results, args.prometheus);
     }
     let results: Vec<Result<flo_json::Json, ServeError>> = if args.direct {
         // In-process: the served result must be byte-identical to this.
         let service = Service::from_env();
-        (0..args.pipeline).map(|_| service.execute(&req)).collect()
+        copies.iter().map(|r| service.execute(r)).collect()
     } else {
         let listen = args
             .listen
@@ -387,17 +386,10 @@ fn main() {
                 _ => Listen::default_socket(),
             });
         match Client::connect(&listen) {
-            Ok(mut client) => {
-                if args.pipeline > 1 {
-                    let reqs: Vec<Request> = (0..args.pipeline).map(|_| req.clone()).collect();
-                    match client.call_pipelined(&reqs, args.deadline_ms) {
-                        Ok(rs) => rs,
-                        Err(e) => vec![Err(e)],
-                    }
-                } else {
-                    vec![client.call_retry(&req, args.deadline_ms, retries_from_env())]
-                }
-            }
+            Ok(mut client) => match client.call_pipelined(&copies, args.deadline_ms) {
+                Ok(rs) => rs,
+                Err(e) => vec![Err(e)],
+            },
             Err(e) => vec![Err(ServeError::Internal(format!(
                 "cannot connect to {}: {e}",
                 listen.describe()

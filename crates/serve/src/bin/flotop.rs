@@ -317,18 +317,16 @@ fn render_health(out: &mut String, health: &Json) {
     };
     out.push_str("\nnode health (client view):\n");
     out.push_str(&format!(
-        "  {:<12} {:<9} {:>6} {:>7} {:>9} {:>7} {:>9}\n",
-        "node", "circuit", "opens", "probes", "failover", "hedges", "hedge-win"
+        "  {:<12} {:<9} {:>6} {:>7} {:>9}\n",
+        "node", "circuit", "opens", "probes", "failover"
     ));
     for (id, h) in nodes {
         out.push_str(&format!(
-            "  {id:<12} {:<9} {:>6} {:>7} {:>9} {:>7} {:>9}\n",
+            "  {id:<12} {:<9} {:>6} {:>7} {:>9}\n",
             h.get("state").and_then(Json::as_str).unwrap_or("?"),
             q(h, "opens"),
             q(h, "probes"),
             q(h, "failovers"),
-            q(h, "hedges"),
-            q(h, "hedge_wins"),
         ));
     }
     if let Some(b) = health.get("budget") {

@@ -63,12 +63,12 @@
 //! chosen by xorshift64* off `FLO_SEED` (default 42) so the entire run
 //! replays bit-identically. Through every phase each response must stay
 //! byte-identical to direct `Service::execute` and zero routed requests
-//! may surface a node-down error — the ring-successor failover,
-//! circuit breakers, retry budget, and hedging (DESIGN.md §2.12) must
-//! absorb the churn. Results land in `BENCH_chaos.json`; `--chaos-gate
-//! X` fails the run if mid-outage throughput drops below X× warm or
-//! post-rejoin throughput below 0.8× warm (CI chaos-smoke gates at
-//! 0.5).
+//! may surface a node-down error — the ring-successor failover, the
+//! read deadline, circuit breakers and the retry budget (DESIGN.md
+//! §2.12) must absorb the churn. Results land in `BENCH_chaos.json`;
+//! `--chaos-gate X` fails the run if mid-outage throughput drops below
+//! X× warm or post-rejoin throughput below 0.8× warm (CI chaos-smoke
+//! gates at 0.5).
 
 use flo_core::TargetLayers;
 use flo_obs::sink::write_json_artifact;
@@ -76,8 +76,8 @@ use flo_obs::Hist;
 use flo_serve::client::DEFAULT_WINDOW;
 use flo_serve::protocol::{FaultSpec, Request};
 use flo_serve::{
-    server, signal, CircuitState, Client, ClusterClient, HedgePolicy, Listen, Member, Membership,
-    Resilience, ServeError, ServerConfig, ServerControl, Service,
+    server, signal, CircuitState, Client, ClusterClient, Listen, Member, Membership, Resilience,
+    ServeError, ServerConfig, ServerControl, Service,
 };
 use flo_sim::PolicyKind;
 use flo_workloads::Scale;
@@ -343,7 +343,7 @@ fn run_cluster_phase(
                 workers: 2,
                 // Comfortably above the pipelining window so a routed
                 // burst can never bounce off queue backpressure as
-                // `busy` (the bench runs with zero retries).
+                // `busy` (nothing retries a `busy` answer).
                 queue_capacity: 4 * DEFAULT_WINDOW,
                 run_name: format!("servebench-cluster-{}", m.id),
                 node_id: m.id.clone(),
@@ -356,7 +356,7 @@ fn run_cluster_phase(
     for m in &members {
         Client::connect_retry(&m.listen, Duration::from_secs(10)).expect("node did not come up");
     }
-    let mut cc = ClusterClient::with_retries(Membership { members }, 0, 1);
+    let mut cc = ClusterClient::with_resilience(Membership { members }, 1, Resilience::from_env());
     let mut identical = true;
     let mut check = |answers: Vec<Result<Vec<u8>, flo_serve::ServeError>>| {
         for (i, a) in answers.into_iter().enumerate() {
@@ -497,8 +497,8 @@ fn run_cluster_bench(opts: &Opts, n_max: usize) {
 
 /// The chaos workload: every key kind the cluster routes, small scale
 /// only, with at least 8 keys per kind so the client's per-kind latency
-/// histograms arm the batch read timeout (the black-hole detector)
-/// after one latency round.
+/// histograms arm the read deadline (the black-hole detector) within
+/// the first warm round.
 fn chaos_batch() -> Vec<Request> {
     let apps = ["qio", "swim", "s3asim"];
     let mut reqs = Vec::new();
@@ -604,8 +604,8 @@ fn chaos_rounds(
     (started.elapsed().as_secs_f64(), collected)
 }
 
-/// One unpipelined round with each `call` timed at the client — the
-/// failover/hedge path the pipelined rounds don't exercise.
+/// One unpipelined round with each `call` (a batch of one) timed at the
+/// client — the per-request latency a pipelined window hides.
 fn chaos_latency_round(
     cc: &mut ClusterClient,
     keys: &[Request],
@@ -700,16 +700,12 @@ fn run_chaos_bench(opts: &Opts, n: usize) {
     };
     // Pinned resilience, not from_env: the chaos run IS the resilience
     // test, so its knobs must not drift with the caller's environment.
-    // A fixed 50 ms hedge keeps the latency rounds deterministic in
-    // *shape* (auto-p95 would move with the host).
     let resilience = Resilience {
         fallbacks: 2.min(n - 1),
-        retry_budget: 64,
-        hedge: HedgePolicy::FixedMs(50),
         connect_timeout: Duration::from_millis(1000),
         breaker_threshold: 2,
     };
-    let mut cc = ClusterClient::with_resilience(membership, 0, seed, resilience);
+    let mut cc = ClusterClient::with_resilience(membership, seed, resilience);
     let mut errors = 0u64;
     let mut identical = true;
     // Pre-warm every key on *every* node (any node can compute any key —
@@ -811,8 +807,8 @@ fn run_chaos_bench(opts: &Opts, n: usize) {
     let recovered_rps = rps(recovered_s);
 
     // Phase 4: black-hole a different node (SIGSTOP semantics — the
-    // kernel keeps accepting, nothing answers). The batch read timeout
-    // and the hedge are the only detectors; no typed error ever arrives.
+    // kernel keeps accepting, nothing answers). The read deadline is the
+    // only detector; no typed error ever arrives.
     nodes[stall_victim].control.set_stall(true);
     let (stall_s, got) = chaos_rounds(&mut cc, &keys, rounds.min(3));
     verify("stall", got, &mut errors, &mut identical);
@@ -854,8 +850,8 @@ fn run_chaos_bench(opts: &Opts, n: usize) {
     println!("stall:     {stall_s:.3}s; resumed {resumed_s:.3}s ({resumed_rps:.1} req/s)");
     println!("routed errors: {errors} (must be 0), byte-identical: {identical}");
     // Bounded tail: even mid-outage no routed call may take longer than
-    // the failover machinery can explain (connect timeout + hedge +
-    // probe backoff ceiling, with slack).
+    // the failover machinery can explain (connect timeout + probe
+    // backoff ceiling, with slack).
     let p99_bound_us = 5_000_000u64;
     let outage_p99 = outage_lat.quantile(0.99);
     if outage_p99 > p99_bound_us {
@@ -884,7 +880,6 @@ fn run_chaos_bench(opts: &Opts, n: usize) {
             flo_json::Json::obj()
                 .set("kill_restart", format!("n{victim}"))
                 .set("stall_resume", format!("n{stall_victim}"))
-                .set("hedge_ms", 50u64)
                 .set("fallbacks", 2.min(n - 1)),
         )
         .set(

@@ -10,24 +10,21 @@
 //!   answers them *in completion order*; each response is matched back
 //!   to its request by id.
 //!
-//! [`Client::call_retry`] layers bounded exponential backoff over
-//! `call` for typed `busy` responses (`FLO_RETRIES`), with seeded
-//! jitter so a fleet of clients bounced by one busy node does not retry
-//! in lockstep.
-//!
 //! [`ClusterClient`] is the cluster-aware layer: it owns one lazily
 //! connected [`Client`] per member, routes every work request to the
-//! node the [`crate::cluster::HashRing`] says owns its work key,
-//! pipelines batches per node over the PR-6 path, and turns an
-//! unreachable node into the typed [`ServeError::NodeDown`] error (the
-//! other nodes keep answering — ownership never silently moves).
+//! node the [`crate::cluster::HashRing`] says owns its work key, and
+//! pipelines each node's share of a batch; a single request is a batch
+//! of one. A dead or silent owner's keys fail over to its ring
+//! successors, and the typed [`ServeError::NodeDown`] error surfaces
+//! only once a key's whole chain is unreachable (the other nodes keep
+//! answering).
 
 use crate::cluster::{stable_hash64, HashRing, Member, Membership};
 use crate::protocol::{
     read_frame, read_frame_bytes, response_id, work_key, write_frame, FrameError, Request,
     ServeError, TRACE_MASK,
 };
-use crate::resilience::{Breaker, CircuitState, HedgePolicy, Resilience, RetryBudget};
+use crate::resilience::{Breaker, Resilience, RetryBudget};
 use crate::server::Listen;
 use flo_json::Json;
 use flo_obs::Hist;
@@ -125,47 +122,10 @@ pub fn decode_envelope_bytes(bytes: &[u8]) -> Result<Json, ServeError> {
     decode_response(&json)
 }
 
-/// The base backoff schedule for [`Client::call_retry`]: `retries`
-/// delays, doubling from 25 ms and capped at 800 ms so a deep backoff
-/// cannot stall a CLI for seconds. These are the *ceilings* the jittered
-/// schedule draws under — see [`retry_schedule`].
-pub fn backoff_delays(retries: u32) -> Vec<Duration> {
-    (0..retries)
-        .map(|i| Duration::from_millis((25u64 << i.min(5)).min(800)))
-        .collect()
-}
-
-/// The jittered retry schedule: each delay is drawn uniformly from
-/// `[base/2, base]` of the corresponding [`backoff_delays`] step, by a
-/// seeded xorshift64* stream. Without jitter, N clients bounced by the
-/// same busy node all sleep exactly 25 ms and stampede back in lockstep
-/// — retry k collides with retry k for every client, forever. Half-range
-/// jitter decorrelates the herd (each client should use a distinct
-/// seed) while keeping the sum bounded by the deterministic schedule.
-///
-/// Seeded, not random: the same `(retries, seed)` always yields the same
-/// delays, so `FLO_SEED` replays reproduce their timing exactly.
-pub fn retry_schedule(retries: u32, seed: u64) -> Vec<Duration> {
-    // xorshift64* with a splitmix-style seed scramble; state must be
-    // nonzero.
-    let mut s = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
-    backoff_delays(retries)
-        .iter()
-        .map(|d| {
-            s ^= s << 13;
-            s ^= s >> 7;
-            s ^= s << 17;
-            let draw = s.wrapping_mul(0x2545_F491_4F6C_DD1D);
-            let base = d.as_millis() as u64;
-            Duration::from_millis(base / 2 + draw % (base / 2 + 1))
-        })
-        .collect()
-}
-
-/// The jitter seed: `FLO_SEED` when set (deterministic replay — give
-/// each client of a fleet its own seed), otherwise entropy from the
-/// process id and the clock so independent unseeded clients decorrelate
-/// by default.
+/// The client seed behind trace ids and breaker probe jitter: `FLO_SEED`
+/// when set (deterministic replay — give each client of a fleet its own
+/// seed), otherwise entropy from the process id and the clock so
+/// independent unseeded clients decorrelate by default.
 pub fn jitter_seed_from_env() -> u64 {
     if let Ok(s) = std::env::var("FLO_SEED") {
         if let Ok(seed) = s.trim().parse::<u64>() {
@@ -177,16 +137,6 @@ pub fn jitter_seed_from_env() -> u64 {
         .map(|d| d.subsec_nanos() as u64 ^ d.as_secs())
         .unwrap_or(0);
     nanos ^ ((std::process::id() as u64) << 32)
-}
-
-/// `FLO_RETRIES` (default 0 — a busy server stays a visible, typed
-/// error unless the caller opts into waiting it out).
-pub fn retries_from_env() -> u32 {
-    std::env::var("FLO_RETRIES")
-        .ok()
-        .and_then(|s| s.trim().parse::<u32>().ok())
-        .unwrap_or(0)
-        .min(16)
 }
 
 impl Client {
@@ -227,8 +177,8 @@ impl Client {
 
     /// Set (or clear) the socket read timeout. With a timeout set,
     /// [`Client::try_recv_raw`] returns `Ok(None)` instead of blocking
-    /// when no response arrives in time — the primitive under hedging
-    /// and bounded batch collection.
+    /// when no response arrives in time — the primitive under the cluster
+    /// client's read deadline.
     pub fn set_read_timeout(&mut self, timeout: Option<Duration>) -> io::Result<()> {
         match &self.conn {
             Conn::Unix(s) => s.set_read_timeout(timeout),
@@ -238,7 +188,7 @@ impl Client {
 
     /// The next trace id from this client's stream (53-bit, see
     /// [`TRACE_MASK`]). Callers that need one trace across several wire
-    /// attempts (retries, failover replays) draw it once and pass it to
+    /// attempts (redials, failover replays) draw it once and pass it to
     /// the `_traced` variants.
     pub fn gen_trace(&mut self) -> u64 {
         let t = self.next_trace;
@@ -268,8 +218,8 @@ impl Client {
     }
 
     /// [`Client::send`] with an explicit trace id (`None` sends an
-    /// untraced frame — the server then assigns its own). Retry and
-    /// failover layers pass the *same* trace on every attempt, so one
+    /// untraced frame — the server then assigns its own). The cluster
+    /// layer passes the *same* trace on every attempt, so one
     /// logical request is one trace in every node's telemetry no matter
     /// how many wire attempts it took.
     pub fn send_traced(
@@ -374,61 +324,6 @@ impl Client {
         payload
     }
 
-    /// [`Client::call`] with bounded, jittered exponential backoff on
-    /// `busy`: up to `retries` re-sends spaced by
-    /// [`retry_schedule`]`(retries, `[`jitter_seed_from_env`]`())`.
-    /// Every other error — including `deadline` and `shutting-down` —
-    /// surfaces immediately; only transient queue pressure is worth
-    /// waiting out.
-    pub fn call_retry(
-        &mut self,
-        req: &Request,
-        deadline_ms: Option<u64>,
-        retries: u32,
-    ) -> Result<Json, ServeError> {
-        self.call_retry_scheduled(
-            req,
-            deadline_ms,
-            &retry_schedule(retries, jitter_seed_from_env()),
-        )
-    }
-
-    /// [`Client::call_retry`] with an explicit delay schedule (the
-    /// cluster layer derives per-node seeds; tests pin exact delays).
-    pub fn call_retry_scheduled(
-        &mut self,
-        req: &Request,
-        deadline_ms: Option<u64>,
-        delays: &[Duration],
-    ) -> Result<Json, ServeError> {
-        let trace = self.gen_trace();
-        self.call_retry_scheduled_traced(req, deadline_ms, delays, Some(trace))
-    }
-
-    /// [`Client::call_retry_scheduled`] with an explicit trace id. One
-    /// trace covers the whole retry loop: every `busy` re-send carries
-    /// the same id, so telemetry shows one logical request with N
-    /// attempts, not N unrelated requests.
-    pub fn call_retry_scheduled_traced(
-        &mut self,
-        req: &Request,
-        deadline_ms: Option<u64>,
-        delays: &[Duration],
-        trace: Option<u64>,
-    ) -> Result<Json, ServeError> {
-        let mut last = self.call_traced(req, deadline_ms, trace);
-        for delay in delays {
-            match last {
-                Err(ServeError::Busy) => {
-                    std::thread::sleep(*delay);
-                    last = self.call_traced(req, deadline_ms, trace);
-                }
-                other => return other,
-            }
-        }
-        last
-    }
-
     /// Pipeline a whole batch on this connection: send everything, then
     /// collect every response and return the payloads in *request*
     /// order (the wire may answer in any completion order).
@@ -466,54 +361,42 @@ impl Client {
 pub const DEFAULT_WINDOW: usize = 16;
 
 /// Work-request kinds with their own client-side latency accounting:
-/// hedging delays and bounded batch reads key off the per-kind p95.
+/// the read deadline keys off the per-kind p95.
 const WORK_KINDS: [&str; 3] = ["layout", "simulate", "sweep"];
 
 fn kind_index(kind: &str) -> Option<usize> {
     WORK_KINDS.iter().position(|&k| k == kind)
 }
 
-/// Errors that mean "this node did not serve the request and a
-/// different node can": connect failures and torn connections
-/// (`NodeDown` / `Protocol`) and a node draining for shutdown
-/// (`ShuttingDown`). Typed application errors — `BadRequest`, `Busy`,
-/// `DeadlineExceeded` — mean the node is up and answering; failing over
-/// would just re-ask the same deterministic question elsewhere.
-fn transport_error(e: &ServeError) -> bool {
-    matches!(
-        e,
-        ServeError::NodeDown(_) | ServeError::Protocol(_) | ServeError::ShuttingDown
-    )
-}
-
 /// Per-node health the routing layer maintains: the circuit breaker
-/// plus failover/hedge tallies (surfaced via
-/// [`ClusterClient::health_json`] into `flotop` / `flostat`).
+/// plus the failover tally (surfaced via [`ClusterClient::health_json`]
+/// into `flotop` / `flostat`).
 pub struct NodeHealth {
     /// The node's circuit breaker.
     pub breaker: Breaker,
     /// Requests routed away from this node (open breaker or failover).
     pub failovers: u64,
-    /// Hedges fired while this node was the slow primary.
-    pub hedges: u64,
-    /// Hedges that answered before this node did.
-    pub hedge_wins: u64,
-    /// Consecutive hedge losses; two in a row count as a breaker
-    /// failure so a black-holed node (accepts connects, never answers)
-    /// eventually trips the breaker even though nothing errors.
-    hedge_losses: u32,
 }
 
-impl NodeHealth {
-    fn new(threshold: u32, seed: u64) -> NodeHealth {
-        NodeHealth {
-            breaker: Breaker::new(threshold, seed),
-            failovers: 0,
-            hedges: 0,
-            hedge_wins: 0,
-            hedge_losses: 0,
-        }
-    }
+/// One [`ClusterClient::call_many_raw`] batch, as each node's exchange
+/// sees it.
+struct Batch<'a> {
+    reqs: &'a [Request],
+    /// One trace per request, drawn before anything is sent.
+    traces: &'a [u64],
+    deadline_ms: Option<u64>,
+    window: usize,
+}
+
+/// Why a node stopped answering its share of a batch.
+enum Stop {
+    /// The connection turned out to be closed: the send failed or the
+    /// peer hung up. A pooled connection gets one redial.
+    Closed(ServeError),
+    /// The connect failed, or the read deadline expired. A stalled node
+    /// still accepts connections, so a redial would only wait out a
+    /// second deadline.
+    Down(ServeError),
 }
 
 /// A cluster-aware client: one lazily connected [`Client`] per member,
@@ -531,9 +414,12 @@ impl NodeHealth {
 /// (and third, …) whose cache warms instead of scattering the key
 /// across the cluster.
 ///
-/// Per-node [`Breaker`]s stop a dead node from costing a connect probe
-/// per call; the client-wide [`RetryBudget`] bounds how much extra load
-/// failover and hedging may add; [`ServeError::NodeDown`] is only
+/// Every routed request, single or batched, takes one path
+/// ([`ClusterClient::call_many_raw`]) with three rules: redial a closed
+/// pooled connection once, fail over along the ring, and time out a
+/// silent owner. Per-node [`Breaker`]s stop a dead node from costing a
+/// connect probe per call; the client-wide [`RetryBudget`] bounds how
+/// much extra load failover may add; [`ServeError::NodeDown`] is only
 /// surfaced once the owner *and* every configured fallback are
 /// unreachable (or with `FLO_FALLBACKS=0`, which restores strict
 /// single-owner routing).
@@ -541,83 +427,65 @@ pub struct ClusterClient {
     membership: Membership,
     ring: HashRing,
     conns: Vec<Option<Client>>,
-    retries: u32,
-    jitter_seed: u64,
     next_trace: u64,
     resilience: Resilience,
     health: Vec<NodeHealth>,
     budget: RetryBudget,
-    /// Client-side latency (µs) of successful routed calls, per work
-    /// kind — the `Auto` hedge delay and the bounded batch read derive
-    /// from these p95s.
+    /// Client-side latency (µs) of answered routed requests, per work
+    /// kind, each timed from the send of its window — the read deadline
+    /// derives from these p95s.
     kind_lat: [Hist; 3],
-    /// Per-kind p95 (µs) seeded once from the server telemetry
-    /// snapshot (the PR-8 accumulator), so `Auto` hedging has a floor
-    /// before this client has observed anything.
-    hedge_seed_us: [Option<u64>; 3],
-    hedge_primed: bool,
 }
 
 impl ClusterClient {
-    /// A client over this membership, with busy-retry, jitter-seed and
-    /// resilience settings from the environment (`FLO_RETRIES`,
-    /// `FLO_SEED`, `FLO_FALLBACKS`, `FLO_RETRY_BUDGET`, `FLO_HEDGE`,
+    /// A client over this membership, with the seed and resilience
+    /// settings from the environment (`FLO_SEED`, `FLO_FALLBACKS`,
     /// `FLO_CONNECT_TIMEOUT_MS`).
     pub fn new(membership: Membership) -> ClusterClient {
-        ClusterClient::with_retries(membership, retries_from_env(), jitter_seed_from_env())
-    }
-
-    /// A client with explicit retry count and jitter seed (resilience
-    /// settings still come from the environment).
-    pub fn with_retries(membership: Membership, retries: u32, jitter_seed: u64) -> ClusterClient {
-        ClusterClient::with_resilience(membership, retries, jitter_seed, Resilience::from_env())
+        ClusterClient::with_resilience(membership, jitter_seed_from_env(), Resilience::from_env())
     }
 
     /// A client with everything explicit — chaos harnesses and tests
-    /// pin the whole resilience configuration here.
+    /// pin the seed and the whole resilience configuration here.
     pub fn with_resilience(
         membership: Membership,
-        retries: u32,
         jitter_seed: u64,
         resilience: Resilience,
     ) -> ClusterClient {
         let ring = HashRing::build(&membership);
         let conns = membership.members.iter().map(|_| None).collect();
         // Per-node breaker seeds: the client seed scrambled by the node
-        // id, the same construction the per-node busy-retry jitter uses
-        // — deterministic per (seed, membership), decorrelated per node.
+        // id — deterministic per (seed, membership), decorrelated per
+        // node.
         let health = membership
             .members
             .iter()
-            .map(|m| {
-                NodeHealth::new(
+            .map(|m| NodeHealth {
+                breaker: Breaker::new(
                     resilience.breaker_threshold,
                     jitter_seed ^ stable_hash64(m.id.as_bytes()),
-                )
+                ),
+                failovers: 0,
             })
             .collect();
         ClusterClient {
             membership,
             ring,
             conns,
-            retries,
-            jitter_seed,
             // Offset from the per-connection streams so a cluster
             // client's ids do not collide with its own pooled clients'.
             next_trace: trace_base(jitter_seed ^ 0x5EED_C1A5_7E12),
-            budget: RetryBudget::new(resilience.retry_budget),
+            budget: RetryBudget::new(RetryBudget::CLIENT_CAP),
             resilience,
             health,
             kind_lat: std::array::from_fn(|_| Hist::new()),
-            hedge_seed_us: [None; 3],
-            hedge_primed: false,
         }
     }
 
     /// The next trace id from this cluster client's stream — drawn once
-    /// per logical request and reused across retries *and* the failover
-    /// reconnect, so a request that survives a node restart keeps its
-    /// identity in the replacement connection's telemetry.
+    /// per logical request and kept across the redial and every failover
+    /// hop, so a request that survives a node restart keeps its identity
+    /// in the replacement connection's telemetry.
     pub fn gen_trace(&mut self) -> u64 {
         let t = self.next_trace;
         self.next_trace = self.next_trace.wrapping_add(1) & TRACE_MASK;
@@ -673,7 +541,7 @@ impl ClusterClient {
         &self.resilience
     }
 
-    /// Per-node health (breaker state, failover/hedge tallies).
+    /// Per-node health (breaker state, failover tally).
     pub fn node_health(&self, node: usize) -> &NodeHealth {
         &self.health[node]
     }
@@ -683,108 +551,19 @@ impl ClusterClient {
         &self.budget
     }
 
-    /// Send one request along its failover chain: the owner first, then
-    /// — on transport failure, budget permitting — each distinct ring
-    /// successor. Typed application errors surface immediately (the
-    /// node answered); `NodeDown` only when the whole chain is
+    /// Route one request: a batch of one through
+    /// [`ClusterClient::call_many`], with the same redial, failover,
+    /// read-deadline and trace rules. Typed application errors surface
+    /// as the node sent them; `NodeDown` only when the whole chain is
     /// unreachable.
     pub fn call(&mut self, req: &Request, deadline_ms: Option<u64>) -> Result<Json, ServeError> {
-        let Some(chain) = self.chain_of(req) else {
-            return Err(ServeError::BadRequest(format!(
-                "{} has no work key — control requests fan out to every node",
-                req.kind()
-            )));
-        };
-        let trace = self.gen_trace();
-        self.call_routed_traced(&chain, req, deadline_ms, Some(trace))
+        self.call_many(std::slice::from_ref(req), deadline_ms, 1)
+            .pop()
+            .expect("one request, one result")
     }
 
-    /// [`ClusterClient::call`] with an explicit trace id: one trace
-    /// covers every attempt across every node the chain visits, so a
-    /// request that fails over reads as one logical request in each
-    /// node's telemetry.
-    fn call_routed_traced(
-        &mut self,
-        chain: &[usize],
-        req: &Request,
-        deadline_ms: Option<u64>,
-        trace: Option<u64>,
-    ) -> Result<Json, ServeError> {
-        let t0 = Instant::now();
-        let mut last: Option<ServeError> = None;
-        let mut attempted = 0usize;
-        for (pos, &node) in chain.iter().enumerate() {
-            if !self.health[node].breaker.allow() {
-                self.health[node].failovers += 1;
-                continue;
-            }
-            if attempted > 0 && !self.budget.try_spend() {
-                break;
-            }
-            attempted += 1;
-            let hedge_node = self.hedge_candidate(chain, pos);
-            match self.attempt_on(node, hedge_node, req, deadline_ms, trace) {
-                Ok((json, via)) => {
-                    self.health[via].breaker.on_success();
-                    self.budget.deposit();
-                    self.observe_kind_latency(req, t0);
-                    return Ok(json);
-                }
-                Err(e) if transport_error(&e) => {
-                    self.health[node].breaker.on_failure();
-                    self.conns[node] = None;
-                    if pos + 1 < chain.len() {
-                        self.health[node].failovers += 1;
-                    }
-                    last = Some(e);
-                }
-                Err(e) => return Err(e),
-            }
-        }
-        match last {
-            Some(e) => Err(e),
-            None => {
-                // Every breaker in the chain was open with no probe due
-                // (a full blip). Force one attempt on the owner so the
-                // cluster can be rediscovered instead of returning
-                // NodeDown forever.
-                let owner = chain[0];
-                match self.attempt_on(owner, None, req, deadline_ms, trace) {
-                    Ok((json, _)) => {
-                        self.health[owner].breaker.on_success();
-                        self.budget.deposit();
-                        self.observe_kind_latency(req, t0);
-                        Ok(json)
-                    }
-                    Err(e) => {
-                        if transport_error(&e) {
-                            self.health[owner].breaker.on_failure();
-                            self.conns[owner] = None;
-                        }
-                        Err(e)
-                    }
-                }
-            }
-        }
-    }
-
-    /// The node a hedge for attempt `pos` would race against the
-    /// primary: the next chain entry whose breaker currently allows
-    /// traffic. Peeked without consuming a half-open probe slot —
-    /// only an actually fired hedge touches the breaker.
-    fn hedge_candidate(&self, chain: &[usize], pos: usize) -> Option<usize> {
-        if self.resilience.hedge == HedgePolicy::Off {
-            return None;
-        }
-        chain
-            .get(pos + 1..)?
-            .iter()
-            .find(|&&n| self.health[n].breaker.state() == CircuitState::Closed)
-            .copied()
-    }
-
-    /// Send one request to a specific node, reconnecting once if the
-    /// cached connection turns out to be dead (a restarted or crashed
+    /// Send one request to a specific node, redialing once if the
+    /// pooled connection turns out to be dead (a restarted or crashed
     /// node): work requests are deterministic and response-cached, so a
     /// replay after a torn connection cannot change the answer.
     pub fn call_on(
@@ -799,7 +578,7 @@ impl ClusterClient {
 
     /// [`ClusterClient::call_on`] with an explicit trace id. The same
     /// trace is sent on both attempts — the one drawn here survives the
-    /// reconnect, which is what lets a failover replay be recognized in
+    /// redial, which is what lets a failover replay be recognized in
     /// the restarted node's telemetry ring as the same logical request.
     pub fn call_on_traced(
         &mut self,
@@ -808,315 +587,24 @@ impl ClusterClient {
         deadline_ms: Option<u64>,
         trace: Option<u64>,
     ) -> Result<Json, ServeError> {
-        let had_conn = self.conns[node].is_some();
-        let delays = retry_schedule(
-            self.retries,
-            self.jitter_seed ^ stable_hash64(self.membership.members[node].id.as_bytes()),
-        );
-        let first = self
-            .conn(node)?
-            .call_retry_scheduled_traced(req, deadline_ms, &delays, trace);
-        match first {
-            Err(ServeError::Protocol(_)) if had_conn => {
+        let pooled = self.conns[node].is_some();
+        match self.conn(node)?.call_traced(req, deadline_ms, trace) {
+            Err(ServeError::Protocol(_)) if pooled => {
                 // The pooled connection may have died since we last used
-                // it; one reconnect decides between a blip and NodeDown.
+                // it; one redial decides between a blip and NodeDown.
                 self.conns[node] = None;
-                self.conn(node)?
-                    .call_retry_scheduled_traced(req, deadline_ms, &delays, trace)
+                self.conn(node)?.call_traced(req, deadline_ms, trace)
             }
             other => other,
         }
     }
 
-    /// One failover-chain attempt against `node`, with busy-retry and
-    /// (when configured) a hedge raced on `hedge_node`. Returns the
-    /// payload plus the node that actually answered.
-    fn attempt_on(
-        &mut self,
-        node: usize,
-        hedge_node: Option<usize>,
-        req: &Request,
-        deadline_ms: Option<u64>,
-        trace: Option<u64>,
-    ) -> Result<(Json, usize), ServeError> {
-        let delays = retry_schedule(
-            self.retries,
-            self.jitter_seed ^ stable_hash64(self.membership.members[node].id.as_bytes()),
-        );
-        let mut last = self.attempt_once(node, hedge_node, req, deadline_ms, trace);
-        for delay in &delays {
-            match &last {
-                Err(ServeError::Busy) => {
-                    std::thread::sleep(*delay);
-                    last = self.attempt_once(node, hedge_node, req, deadline_ms, trace);
-                }
-                _ => break,
-            }
-        }
-        last
-    }
-
-    /// One wire attempt, reconnecting once when a pooled connection
-    /// turns out to be dead (same blip-vs-down rule as
-    /// [`ClusterClient::call_on_traced`]).
-    fn attempt_once(
-        &mut self,
-        node: usize,
-        hedge_node: Option<usize>,
-        req: &Request,
-        deadline_ms: Option<u64>,
-        trace: Option<u64>,
-    ) -> Result<(Json, usize), ServeError> {
-        let had_conn = self.conns[node].is_some();
-        let first = self.attempt_wire(node, hedge_node, req, deadline_ms, trace);
-        match first {
-            Err(ServeError::Protocol(_)) if had_conn => {
-                self.conns[node] = None;
-                self.attempt_wire(node, hedge_node, req, deadline_ms, trace)
-            }
-            other => other,
-        }
-    }
-
-    /// Send on `node`'s connection; when hedging applies, wait only the
-    /// hedge delay before racing a second copy on `hedge_node`.
-    fn attempt_wire(
-        &mut self,
-        node: usize,
-        hedge_node: Option<usize>,
-        req: &Request,
-        deadline_ms: Option<u64>,
-        trace: Option<u64>,
-    ) -> Result<(Json, usize), ServeError> {
-        let hedge_after = match hedge_node {
-            Some(_) => self.hedge_delay_for(req),
-            None => None,
-        };
-        let (Some(delay), Some(h)) = (hedge_after, hedge_node) else {
-            return self
-                .conn(node)?
-                .call_traced(req, deadline_ms, trace)
-                .map(|j| (j, node));
-        };
-        let id = self.conn(node)?.send_traced(req, deadline_ms, trace)?;
-        let c = self.conns[node].as_mut().expect("connection just ensured");
-        if c.set_read_timeout(Some(delay)).is_err() {
-            // Cannot arm the timer: fall back to a plain blocking wait.
-            let (got, bytes) = c.recv_raw()?;
-            return Self::matched(got, id, bytes).map(|j| (j, node));
-        }
-        match c.try_recv_raw() {
-            Ok(Some((got, bytes))) => {
-                let _ = c.set_read_timeout(None);
-                Self::matched(got, id, bytes).map(|j| (j, node))
-            }
-            Ok(None) => self.race_hedge(node, id, h, req, deadline_ms, trace),
-            Err(e) => {
-                if let Some(c) = self.conns[node].as_mut() {
-                    let _ = c.set_read_timeout(None);
-                }
-                Err(e)
-            }
-        }
-    }
-
-    fn matched(got: u64, want: u64, bytes: Vec<u8>) -> Result<Json, ServeError> {
-        if got != want {
-            return Err(ServeError::Protocol(format!(
-                "response id {got} does not match request id {want}"
-            )));
-        }
-        decode_envelope_bytes(&bytes)
-    }
-
-    /// The primary on `node` is slow past the hedge delay: race a
-    /// second copy on `h` and return whichever answers first. The
-    /// loser's connection is dropped (its response is still in flight
-    /// and would desynchronize the pool); server-side single-flight on
-    /// the work key means the loser's node wastes no duplicate compute.
-    fn race_hedge(
-        &mut self,
-        primary: usize,
-        primary_id: u64,
-        h: usize,
-        req: &Request,
-        deadline_ms: Option<u64>,
-        trace: Option<u64>,
-    ) -> Result<(Json, usize), ServeError> {
-        // Hedging costs a retry-budget token and a half-open slot on the
-        // hedge node; without either, just keep waiting on the primary.
-        if !self.budget.try_spend() || !self.health[h].breaker.allow() {
-            return self.block_on_primary(primary, primary_id);
-        }
-        self.health[primary].hedges += 1;
-        let hedge_id = match self
-            .conn(h)
-            .and_then(|c| c.send_traced(req, deadline_ms, trace))
-        {
-            Ok(id) => id,
-            Err(_) => {
-                // The hedge node is down too; the primary is all we have.
-                self.health[h].breaker.on_failure();
-                self.conns[h] = None;
-                return self.block_on_primary(primary, primary_id);
-            }
-        };
-        // Poll both connections in short slices until one answers. The
-        // overall race is capped so two simultaneously black-holed nodes
-        // cannot hold the caller forever — the cap surfaces as a
-        // transport error, which the chain above treats as failover.
-        let slice = Duration::from_millis(5);
-        let cap = Instant::now() + Duration::from_secs(60);
-        for conn_idx in [primary, h] {
-            if let Some(c) = self.conns[conn_idx].as_mut() {
-                let _ = c.set_read_timeout(Some(slice));
-            }
-        }
-        let mut primary_err: Option<ServeError> = None;
-        let mut hedge_err: Option<ServeError> = None;
-        loop {
-            if primary_err.is_none() {
-                match self.conns[primary]
-                    .as_mut()
-                    .expect("primary connected")
-                    .try_recv_raw()
-                {
-                    Ok(Some((got, bytes))) if got == primary_id => {
-                        // Primary wins: the hedge's answer is still in
-                        // flight on h's connection — drop it.
-                        self.conns[h] = None;
-                        self.health[primary].hedge_losses = 0;
-                        if let Some(c) = self.conns[primary].as_mut() {
-                            let _ = c.set_read_timeout(None);
-                        }
-                        return Self::matched(got, primary_id, bytes).map(|j| (j, primary));
-                    }
-                    Ok(Some(_)) | Ok(None) => {}
-                    Err(e) => primary_err = Some(e),
-                }
-            }
-            if hedge_err.is_none() {
-                match self.conns[h]
-                    .as_mut()
-                    .expect("hedge connected")
-                    .try_recv_raw()
-                {
-                    Ok(Some((got, bytes))) if got == hedge_id => {
-                        // Hedge wins: drop the primary's connection (its
-                        // answer, if any ever comes, is stray now).
-                        self.conns[primary] = None;
-                        self.health[primary].hedge_wins += 1;
-                        self.health[primary].hedge_losses += 1;
-                        if self.health[primary].hedge_losses >= 2 {
-                            // Two silent losses in a row: the primary is
-                            // black-holed, not merely slow — trip it.
-                            self.health[primary].breaker.on_failure();
-                            self.health[primary].hedge_losses = 0;
-                        }
-                        if let Some(c) = self.conns[h].as_mut() {
-                            let _ = c.set_read_timeout(None);
-                        }
-                        return Self::matched(got, hedge_id, bytes).map(|j| (j, h));
-                    }
-                    Ok(Some(_)) | Ok(None) => {}
-                    Err(e) => {
-                        self.health[h].breaker.on_failure();
-                        self.conns[h] = None;
-                        hedge_err = Some(e);
-                    }
-                }
-            }
-            if let (Some(e), true) = (&primary_err, hedge_err.is_some()) {
-                return Err(e.clone());
-            }
-            if primary_err.is_some() && self.conns[h].is_none() {
-                return Err(primary_err.take().expect("primary error set"));
-            }
-            if Instant::now() >= cap {
-                self.conns[primary] = None;
-                self.conns[h] = None;
-                return Err(ServeError::Protocol(
-                    "hedge race timed out: neither node answered".into(),
-                ));
-            }
-        }
-    }
-
-    fn block_on_primary(
-        &mut self,
-        primary: usize,
-        primary_id: u64,
-    ) -> Result<(Json, usize), ServeError> {
-        let c = self.conns[primary].as_mut().expect("primary connected");
-        let _ = c.set_read_timeout(None);
-        let (got, bytes) = c.recv_raw()?;
-        Self::matched(got, primary_id, bytes).map(|j| (j, primary))
-    }
-
-    /// How long to wait before hedging this request, per the configured
-    /// policy. `Auto` uses the kind's p95 — the larger of the
-    /// snapshot-seeded floor and the client's own observations —
-    /// clamped to [5 ms, 2 s]; no hedge until at least one source has
-    /// data, so cold kinds never hedge blindly.
-    fn hedge_delay_for(&mut self, req: &Request) -> Option<Duration> {
-        let ki = kind_index(req.kind())?;
-        match self.resilience.hedge {
-            HedgePolicy::Off => None,
-            HedgePolicy::FixedMs(ms) => Some(Duration::from_millis(ms.max(1))),
-            HedgePolicy::Auto => {
-                self.prime_hedge();
-                let local =
-                    (self.kind_lat[ki].count() >= 8).then(|| self.kind_lat[ki].quantile(0.95));
-                let us = match (local, self.hedge_seed_us[ki]) {
-                    (Some(a), Some(b)) => Some(a.max(b)),
-                    (a, b) => a.or(b),
-                }?;
-                Some(Duration::from_micros(us.clamp(5_000, 2_000_000)))
-            }
-        }
-    }
-
-    /// One-time seeding of the `Auto` hedge floors from the cluster's
-    /// telemetry snapshot: the per-kind `total_us` p95 of whatever the
-    /// nodes have already served. Nodes without telemetry (or without
-    /// samples for a kind) simply contribute nothing.
-    fn prime_hedge(&mut self) {
-        if self.hedge_primed {
-            return;
-        }
-        self.hedge_primed = true;
-        for (_, result) in self.fan_out(&Request::Telemetry, Some(2_000)) {
-            let Ok(snap) = result else { continue };
-            let Some(kinds) = snap.get("kinds") else {
-                continue;
-            };
-            for (ki, kind) in WORK_KINDS.iter().enumerate() {
-                let p95 = kinds
-                    .get(kind)
-                    .and_then(|k| k.get("total_us"))
-                    .and_then(|t| t.get("p95"))
-                    .and_then(Json::as_u64)
-                    .unwrap_or(0);
-                if p95 > 0 {
-                    self.hedge_seed_us[ki] =
-                        Some(self.hedge_seed_us[ki].map_or(p95, |v| v.max(p95)));
-                }
-            }
-        }
-    }
-
-    /// Record a successful routed call's client-observed latency.
-    fn observe_kind_latency(&mut self, req: &Request, t0: Instant) {
-        if let Some(ki) = kind_index(req.kind()) {
-            self.kind_lat[ki].record(t0.elapsed().as_micros() as u64);
-        }
-    }
-
-    /// The read timeout for collecting a batch chunk whose requests are
-    /// of `kinds_present`: 8× the worst per-kind p95, clamped to
-    /// [500 ms, 15 s]. `None` — block indefinitely, the pre-failover
-    /// behavior — until every present kind has at least 8 samples, so a
-    /// cold cluster's first heavy computations are never cut short.
+    /// The read timeout for collecting a window whose requests are of
+    /// `kinds_present`: 8× the worst per-kind p95, clamped to
+    /// [500 ms, 15 s]. `None` — block indefinitely — with failover off
+    /// (there is no other node to ask), or until every present kind has
+    /// at least 8 samples, so a cold cluster's first heavy computations
+    /// are never cut short.
     fn batch_read_timeout(&self, kinds_present: &[bool; 3]) -> Option<Duration> {
         if self.resilience.fallbacks == 0 {
             return None;
@@ -1157,14 +645,18 @@ impl ClusterClient {
     /// transport-level failures — routing a control request
     /// (`BadRequest`) or a whole chain unreachable (`NodeDown`).
     ///
-    /// Failure handling per node group: a connect failure, a torn
-    /// connection, or (once per-kind latency samples exist) a read that
-    /// outlives the batch read timeout (8× worst per-kind p95) — the
-    /// black-holed node case — marks the node's breaker, costs one retry-budget
-    /// token, and re-queues the group's unanswered requests at the next
-    /// position of each one's own fallback chain. Re-routing is
-    /// assignment, not broadcast: each request lands on exactly one
-    /// node per round, so no duplicate responses can ever be collected.
+    /// Each request carries one trace from this client's stream, drawn
+    /// before anything is sent and kept on every node it visits. Per
+    /// node group, a pooled connection that turns out to be closed is
+    /// redialed once. A connect failure, a connection that stays
+    /// closed, or (once per-kind latency samples exist) a read that
+    /// outlives the read deadline (8× worst per-kind p95) — the
+    /// black-holed node case — marks the node's breaker, costs one
+    /// retry-budget token, and re-queues the group's unanswered
+    /// requests at the next position of each one's own fallback chain.
+    /// Re-routing is assignment, not broadcast: each request lands on
+    /// exactly one node per round, so no duplicate responses can ever
+    /// be collected.
     pub fn call_many_raw(
         &mut self,
         reqs: &[Request],
@@ -1174,6 +666,13 @@ impl ClusterClient {
         /// Chain position marking "whole chain was gated; owner forced,
         /// no further failover".
         const FORCED: usize = usize::MAX;
+        let traces: Vec<u64> = reqs.iter().map(|_| self.gen_trace()).collect();
+        let batch = Batch {
+            reqs,
+            traces: &traces,
+            deadline_ms,
+            window,
+        };
         let mut out: Vec<Option<Result<Vec<u8>, ServeError>>> = reqs.iter().map(|_| None).collect();
         let chains: Vec<Option<Vec<usize>>> = reqs.iter().map(|r| self.chain_of(r)).collect();
         let mut pending: Vec<(usize, usize)> = Vec::new();
@@ -1219,79 +718,24 @@ impl ClusterClient {
                 if group.is_empty() {
                     continue;
                 }
-                let mut kinds_present = [false; 3];
-                for &(i, _) in &group {
-                    if let Some(ki) = kind_index(reqs[i].kind()) {
-                        kinds_present[ki] = true;
-                    }
+                let pooled = self.conns[node].is_some();
+                let mut stop = self.exchange(node, &group, &batch, &mut out).err();
+                if pooled && matches!(stop, Some(Stop::Closed(_))) {
+                    // The pooled connection died since its last use (a
+                    // restarted node): redial once, resending only what
+                    // is still unanswered, before the breaker counts a
+                    // failure.
+                    self.conns[node] = None;
+                    let rest: Vec<(usize, usize)> = group
+                        .iter()
+                        .filter(|&&(i, _)| out[i].is_none())
+                        .copied()
+                        .collect();
+                    stop = self.exchange(node, &rest, &batch, &mut out).err();
                 }
-                let read_timeout = self.batch_read_timeout(&kinds_present);
-                let mut failed: Option<ServeError> = None;
-                let mut answered = 0usize;
-                'chunks: for chunk in group.chunks(window.max(1)) {
-                    let client = match self.conn(node) {
-                        Ok(c) => c,
-                        Err(e) => {
-                            failed = Some(e);
-                            break 'chunks;
-                        }
-                    };
-                    let mut inflight: Vec<(u64, usize)> = Vec::with_capacity(chunk.len());
-                    for &(i, _) in chunk {
-                        match client.send(&reqs[i], deadline_ms) {
-                            Ok(id) => inflight.push((id, i)),
-                            Err(e) => {
-                                // The write side died; answer what is
-                                // already in flight, then mark the rest.
-                                failed = Some(e);
-                                break;
-                            }
-                        }
-                    }
-                    if read_timeout.is_some() && client.set_read_timeout(read_timeout).is_err() {
-                        failed = Some(ServeError::Protocol("cannot set read timeout".into()));
-                    }
-                    if failed.is_none() {
-                        for _ in 0..inflight.len() {
-                            let next = match read_timeout {
-                                Some(_) => match client.try_recv_raw() {
-                                    Ok(Some(r)) => Ok(r),
-                                    Ok(None) => Err(ServeError::Protocol(
-                                        "read timed out — node unresponsive".into(),
-                                    )),
-                                    Err(e) => Err(e),
-                                },
-                                None => client.recv_raw(),
-                            };
-                            match next {
-                                Ok((id, bytes)) => {
-                                    if let Some(&(_, i)) =
-                                        inflight.iter().find(|&&(sent, _)| sent == id)
-                                    {
-                                        out[i] = Some(Ok(bytes));
-                                        answered += 1;
-                                    }
-                                }
-                                Err(e) => {
-                                    failed = Some(e);
-                                    break;
-                                }
-                            }
-                        }
-                    }
-                    if read_timeout.is_some() {
-                        let _ = client.set_read_timeout(None);
-                    }
-                    if failed.is_some() {
-                        break 'chunks;
-                    }
-                }
-                for _ in 0..answered {
-                    self.budget.deposit();
-                }
-                match failed {
+                match stop {
                     None => self.health[node].breaker.on_success(),
-                    Some(e) => {
+                    Some(Stop::Closed(e) | Stop::Down(e)) => {
                         // The connection is unusable; drop it, mark the
                         // breaker, and fail the unanswered share over to
                         // each request's next chain entry. One budget
@@ -1322,6 +766,69 @@ impl ClusterClient {
         out.into_iter()
             .map(|r| r.expect("every request answered or marked"))
             .collect()
+    }
+
+    /// Send `group`'s requests to `node` in windows of `batch.window`
+    /// frames and collect their envelopes into `out`, recording each
+    /// answer's latency since its window was sent. Stops at the first
+    /// transport failure; the caller decides between a redial and a
+    /// failover.
+    fn exchange(
+        &mut self,
+        node: usize,
+        group: &[(usize, usize)],
+        batch: &Batch,
+        out: &mut [Option<Result<Vec<u8>, ServeError>>],
+    ) -> Result<(), Stop> {
+        let mut kinds_present = [false; 3];
+        for &(i, _) in group {
+            if let Some(ki) = kind_index(batch.reqs[i].kind()) {
+                kinds_present[ki] = true;
+            }
+        }
+        let read_timeout = self.batch_read_timeout(&kinds_present);
+        for chunk in group.chunks(batch.window.max(1)) {
+            self.conn(node).map_err(Stop::Down)?;
+            let client = self.conns[node].as_mut().expect("connection just ensured");
+            let sent_at = Instant::now();
+            let mut inflight: Vec<(u64, usize)> = Vec::with_capacity(chunk.len());
+            for &(i, _) in chunk {
+                let id = client
+                    .send_traced(&batch.reqs[i], batch.deadline_ms, Some(batch.traces[i]))
+                    .map_err(Stop::Closed)?;
+                inflight.push((id, i));
+            }
+            if read_timeout.is_some() && client.set_read_timeout(read_timeout).is_err() {
+                return Err(Stop::Closed(ServeError::Protocol(
+                    "cannot set read timeout".into(),
+                )));
+            }
+            for _ in 0..inflight.len() {
+                let (id, bytes) = match client.try_recv_raw() {
+                    Ok(Some(r)) => r,
+                    Ok(None) => {
+                        return Err(Stop::Down(ServeError::Protocol(
+                            "read timed out — node unresponsive".into(),
+                        )))
+                    }
+                    Err(e) => return Err(Stop::Closed(e)),
+                };
+                let Some(&(_, i)) = inflight.iter().find(|&&(sent, _)| sent == id) else {
+                    return Err(Stop::Closed(ServeError::Protocol(format!(
+                        "response id {id} matches no request in flight"
+                    ))));
+                };
+                if let Some(ki) = kind_index(batch.reqs[i].kind()) {
+                    self.kind_lat[ki].record(sent_at.elapsed().as_micros() as u64);
+                }
+                self.budget.deposit();
+                out[i] = Some(Ok(bytes));
+            }
+            if read_timeout.is_some() {
+                let _ = client.set_read_timeout(None);
+            }
+        }
+        Ok(())
     }
 
     /// Send a control request to *every* node, in membership order.
@@ -1400,9 +907,7 @@ impl ClusterClient {
                     .set("state", h.breaker.state().name())
                     .set("opens", h.breaker.opens)
                     .set("probes", h.breaker.probes)
-                    .set("failovers", h.failovers)
-                    .set("hedges", h.hedges)
-                    .set("hedge_wins", h.hedge_wins),
+                    .set("failovers", h.failovers),
             );
         }
         Json::obj().set("nodes", nodes).set(
@@ -1418,37 +923,6 @@ impl ClusterClient {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn backoff_doubles_and_caps() {
-        assert!(
-            backoff_delays(0).is_empty(),
-            "default FLO_RETRIES=0 never sleeps"
-        );
-        let d = backoff_delays(7);
-        assert_eq!(d.len(), 7);
-        assert_eq!(d[0], Duration::from_millis(25));
-        assert_eq!(d[1], Duration::from_millis(50));
-        assert_eq!(d[4], Duration::from_millis(400));
-        assert_eq!(d[5], Duration::from_millis(800), "cap at 800 ms");
-        assert_eq!(d[6], Duration::from_millis(800), "stays capped");
-    }
-
-    #[test]
-    fn jittered_schedule_is_seeded_and_bounded() {
-        let a = retry_schedule(7, 42);
-        let b = retry_schedule(7, 42);
-        assert_eq!(a, b, "same seed, same delays — FLO_SEED replays exactly");
-        let c = retry_schedule(7, 43);
-        assert_ne!(a, c, "different seeds decorrelate the herd");
-        for (jittered, base) in a.iter().zip(backoff_delays(7)) {
-            assert!(
-                *jittered >= base / 2 && *jittered <= base,
-                "jitter {jittered:?} outside [{:?}, {base:?}]",
-                base / 2
-            );
-        }
-    }
 
     #[test]
     fn decode_maps_typed_errors() {

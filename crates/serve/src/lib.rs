@@ -29,11 +29,12 @@
 //! * [`service`] — request execution over the shared caches;
 //! * [`server`] — readiness loop, worker pool, queue, graceful drain;
 //! * [`poller`] — dependency-free epoll/poll readiness + wakeup pipe;
-//! * [`client`] — the blocking client, with pipelining and busy-retry;
+//! * [`client`] — the blocking client, with pipelining, and the
+//!   cluster client's one routed path;
 //! * [`cluster`] — static membership + consistent-hash ring: N nodes,
 //!   each the single home of its work-key range (client-side routing);
-//! * [`resilience`] — per-node circuit breakers, the client-wide retry
-//!   budget, and the hedge policy that make node churn transparent;
+//! * [`resilience`] — per-node circuit breakers and the client-wide
+//!   retry budget that make node churn transparent;
 //! * [`signal`] — SIGTERM/SIGINT → drain flag, without libc.
 //!
 //! See README.md (quick start), DESIGN.md §2.9 (architecture and the
@@ -51,6 +52,6 @@ pub mod signal;
 pub use client::{Client, ClusterClient, NodeHealth};
 pub use cluster::{HashRing, Member, Membership};
 pub use protocol::{Request, ServeError, PROTOCOL_VERSION};
-pub use resilience::{Breaker, CircuitState, HedgePolicy, Resilience, RetryBudget};
+pub use resilience::{Breaker, CircuitState, Resilience, RetryBudget};
 pub use server::{Listen, ServerConfig, ServerControl};
 pub use service::Service;

@@ -26,9 +26,9 @@
 //! `trace` is the optional client-assigned **trace id**: an opaque u64
 //! the server echoes in the response envelope, stamps on the request's
 //! `serve-request` JSONL event and telemetry ring entry, and — because
-//! the client reuses one trace across busy retries and cluster failover
-//! reconnects — the one identifier that follows a logical request across
-//! every hop. It is deliberately **not** part of [`work_key`]: two
+//! the cluster client reuses one trace across its redial and every
+//! failover hop — the one identifier that follows a logical request
+//! across every hop. It is deliberately **not** part of [`work_key`]: two
 //! requests for the same work share a cache entry and a routing owner no
 //! matter whose trace asked.
 

@@ -1,7 +1,7 @@
-//! Client-side resilience primitives: per-node circuit breakers, the
-//! client-wide retry budget, and the hedging policy.
+//! Client-side resilience primitives: per-node circuit breakers and the
+//! client-wide retry budget.
 //!
-//! These three pieces, wired into [`crate::client::ClusterClient`], are
+//! These two pieces, wired into [`crate::client::ClusterClient`], are
 //! what makes node churn transparent to routed work. Because every work
 //! result is a deterministic pure function of the request (DESIGN.md
 //! §2.9), *any* node can compute *any* key — failover needs no data
@@ -15,25 +15,15 @@
 //!   admits **exactly one** probe; the probe's outcome closes it or
 //!   re-opens it with a doubled delay.
 //! * the **retry budget** ([`RetryBudget`]) is a token bucket shared by
-//!   the whole client. Extra attempts — failover replays while a
-//!   breaker is still closed, hedges — spend a token; every successful
-//!   primary call deposits a fraction of one. When the bucket runs dry
-//!   the client stops amplifying load and fails fast, which is what
+//!   the whole client. Each failover re-route spends a token; every
+//!   answered request deposits a fraction of one. When the bucket runs
+//!   dry the client stops amplifying load and fails fast, which is what
 //!   keeps a brown-out from turning into a retry storm. The balance is
 //!   unsigned by construction: it can never go negative.
-//! * the **hedge policy** ([`HedgePolicy`]) decides when a second copy
-//!   of a request may be raced against a slow primary. `Auto` fires
-//!   after the per-kind p95 (seeded from the server telemetry snapshot
-//!   and refined from observed latencies); a fixed millisecond value
-//!   pins the delay for deterministic harnesses. Server-side
-//!   single-flight on `work_key` ([`crate::service::Service`])
-//!   guarantees a hedge can never duplicate expensive compute on one
-//!   node, and cross-node duplicates only warm a second cache.
 //!
-//! Everything timing-related is seeded off `FLO_SEED` through the same
-//! xorshift64* stream the busy-retry jitter uses
-//! ([`crate::client::retry_schedule`]), so a chaos run replays its
-//! probe schedule bit-identically.
+//! The probe delays are seeded off `FLO_SEED` through a xorshift64*
+//! stream ([`probe_schedule`]), so a chaos run replays its probe
+//! schedule bit-identically.
 
 use std::time::{Duration, Instant};
 
@@ -71,8 +61,7 @@ pub fn probe_ceilings(steps: u32) -> Vec<Duration> {
 
 /// The seeded, jittered probe schedule: step `k`'s delay is drawn
 /// uniformly from `[base/2, base]` of [`probe_ceilings`] step `k`, by
-/// the same xorshift64* construction as
-/// [`crate::client::retry_schedule`]. Deterministic: the same
+/// a seeded xorshift64* stream. Deterministic: the same
 /// `(steps, seed)` always yields the same delays, so `FLO_SEED` replays
 /// a chaos run's probe timing exactly, while distinct per-node seeds
 /// keep a fleet's probes decorrelated.
@@ -218,11 +207,10 @@ impl Breaker {
 
 /// The client-wide retry budget: a token bucket in milli-tokens so the
 /// per-success deposit can be a fraction of a token without floats.
-/// Extra attempts (failover replays against closed breakers, hedges)
-/// spend one token; each successful primary call deposits
-/// [`RetryBudget::DEPOSIT_M`] milli-tokens. The bucket starts full so a
-/// cold client can still fail over, and the balance is a `u64` checked
-/// before every spend — it cannot go negative.
+/// Each failover re-route spends one token; each answered request
+/// deposits [`RetryBudget::DEPOSIT_M`] milli-tokens. The bucket starts
+/// full so a cold client can still fail over, and the balance is a `u64`
+/// checked before every spend — it cannot go negative.
 #[derive(Debug)]
 pub struct RetryBudget {
     balance_m: u64,
@@ -236,9 +224,12 @@ pub struct RetryBudget {
 impl RetryBudget {
     /// Milli-tokens one extra attempt costs.
     pub const COST_M: u64 = 1000;
-    /// Milli-tokens one successful primary call deposits (0.1 token —
-    /// the classic "retries may add at most ~10% load" ratio).
+    /// Milli-tokens one answered request deposits (0.1 token — the
+    /// classic "retries may add at most ~10% load" ratio).
     pub const DEPOSIT_M: u64 = 100;
+    /// The cap of every [`crate::client::ClusterClient`]'s budget, in
+    /// tokens.
+    pub const CLIENT_CAP: u64 = 64;
 
     /// A full bucket capped at `cap_tokens` tokens. `0` disables extra
     /// attempts entirely.
@@ -276,49 +267,6 @@ impl RetryBudget {
     }
 }
 
-/// When may a hedge — a second copy of a slow request, raced against
-/// the primary on the next fallback node — be fired?
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum HedgePolicy {
-    /// Never hedge (the default: hedging is opt-in via `FLO_HEDGE`).
-    Off,
-    /// Hedge after a fixed delay — deterministic harnesses pin this.
-    FixedMs(u64),
-    /// Hedge after the request kind's observed p95, seeded from the
-    /// server telemetry snapshot and refined from client-side samples;
-    /// no hedge until enough samples exist.
-    Auto,
-}
-
-impl HedgePolicy {
-    /// Parse `FLO_HEDGE`: unset/`0`/`off`/`false` → [`HedgePolicy::Off`],
-    /// `auto` → [`HedgePolicy::Auto`], a number → that many ms.
-    pub fn from_env() -> HedgePolicy {
-        match std::env::var("FLO_HEDGE") {
-            Ok(s) => HedgePolicy::parse(&s),
-            Err(_) => HedgePolicy::Off,
-        }
-    }
-
-    /// [`HedgePolicy::from_env`]'s parser, exposed for tests.
-    pub fn parse(s: &str) -> HedgePolicy {
-        let t = s.trim();
-        if t.is_empty()
-            || t.eq_ignore_ascii_case("off")
-            || t.eq_ignore_ascii_case("false")
-            || t == "0"
-        {
-            HedgePolicy::Off
-        } else if t.eq_ignore_ascii_case("auto") || t.eq_ignore_ascii_case("on") {
-            HedgePolicy::Auto
-        } else {
-            t.parse::<u64>()
-                .map(HedgePolicy::FixedMs)
-                .unwrap_or(HedgePolicy::Off)
-        }
-    }
-}
-
 /// The knobs [`crate::client::ClusterClient`] reads, normally from the
 /// environment. README.md documents each variable.
 #[derive(Clone, Copy, Debug)]
@@ -327,10 +275,6 @@ pub struct Resilience {
     /// default 2; 0 restores strict single-owner routing and typed
     /// `node-down` errors).
     pub fallbacks: usize,
-    /// Retry-budget cap in tokens (`FLO_RETRY_BUDGET`, default 64).
-    pub retry_budget: u64,
-    /// Hedging policy (`FLO_HEDGE`, default off).
-    pub hedge: HedgePolicy,
     /// TCP connect timeout (`FLO_CONNECT_TIMEOUT_MS`, default 1000).
     /// Unix-socket connects are refused immediately by a dead path, so
     /// the bound matters for black-holed TCP nodes.
@@ -344,8 +288,6 @@ impl Default for Resilience {
     fn default() -> Resilience {
         Resilience {
             fallbacks: 2,
-            retry_budget: 64,
-            hedge: HedgePolicy::Off,
             connect_timeout: Duration::from_millis(1000),
             breaker_threshold: 2,
         }
@@ -353,8 +295,8 @@ impl Default for Resilience {
 }
 
 impl Resilience {
-    /// Read `FLO_FALLBACKS` / `FLO_RETRY_BUDGET` / `FLO_HEDGE` /
-    /// `FLO_CONNECT_TIMEOUT_MS` with the documented defaults.
+    /// Read `FLO_FALLBACKS` / `FLO_CONNECT_TIMEOUT_MS` with the
+    /// documented defaults.
     pub fn from_env() -> Resilience {
         let d = Resilience::default();
         let env_u64 = |name: &str| {
@@ -366,8 +308,6 @@ impl Resilience {
             fallbacks: env_u64("FLO_FALLBACKS")
                 .map(|v| v as usize)
                 .unwrap_or(d.fallbacks),
-            retry_budget: env_u64("FLO_RETRY_BUDGET").unwrap_or(d.retry_budget),
-            hedge: HedgePolicy::from_env(),
             connect_timeout: env_u64("FLO_CONNECT_TIMEOUT_MS")
                 .map(Duration::from_millis)
                 .unwrap_or(d.connect_timeout),
@@ -492,15 +432,5 @@ mod tests {
         assert!(!b.try_spend());
         b.deposit();
         assert!(!b.try_spend(), "deposits cannot exceed a zero cap");
-    }
-
-    #[test]
-    fn hedge_policy_parses() {
-        assert_eq!(HedgePolicy::parse(""), HedgePolicy::Off);
-        assert_eq!(HedgePolicy::parse("off"), HedgePolicy::Off);
-        assert_eq!(HedgePolicy::parse("0"), HedgePolicy::Off);
-        assert_eq!(HedgePolicy::parse("auto"), HedgePolicy::Auto);
-        assert_eq!(HedgePolicy::parse("75"), HedgePolicy::FixedMs(75));
-        assert_eq!(HedgePolicy::parse("junk"), HedgePolicy::Off);
     }
 }

@@ -40,8 +40,8 @@ pub const DEFAULT_CACHE_MB: usize = 256;
 /// and publishes the result; followers block on the condvar and clone
 /// it. Results are `Arc<Vec<u8>>`, so "clone" is a pointer bump — the
 /// followers get the *same bytes* the leader produced, which is what
-/// makes hedges and failover replays free of duplicate compute on a
-/// node.
+/// makes concurrent identical requests (several clients asking for one
+/// key, a replay after a redial) free of duplicate compute on a node.
 #[derive(Default)]
 struct Flight {
     done: Mutex<Option<Result<Arc<Vec<u8>>, ServeError>>>,
@@ -87,9 +87,10 @@ pub struct Service {
     /// one row per point no matter how often it is re-measured.
     stores: Mutex<Vec<(String, Json)>>,
     /// Single-flight table: work keys currently being computed. A
-    /// duplicate arriving while the leader runs (a client hedge, a
-    /// failover replay) waits for the leader's bytes instead of burning
-    /// a worker on the same deterministic computation.
+    /// duplicate arriving while the leader runs (another client's
+    /// request for the key, a replay after a redial) waits for the
+    /// leader's bytes instead of burning a worker on the same
+    /// deterministic computation.
     inflight: Mutex<HashMap<String, Arc<Flight>>>,
     /// Work computations actually run (cache misses that executed).
     executions: AtomicU64,

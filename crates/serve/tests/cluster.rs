@@ -21,8 +21,8 @@ use flo_serve::{
 use flo_sim::PolicyKind;
 use flo_workloads::Scale;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
-use std::time::Duration;
+use std::sync::{mpsc, Arc, Mutex};
+use std::time::{Duration, Instant};
 
 static SERVER_LOCK: Mutex<()> = Mutex::new(());
 static SOCKET_SEQ: AtomicU64 = AtomicU64::new(0);
@@ -190,7 +190,8 @@ fn two_node_cluster_matches_direct_bytes() {
     let membership = membership_of(2);
     let handles = spawn_nodes(&membership);
     wait_up(&membership);
-    let mut cc = flo_serve::ClusterClient::with_retries(membership.clone(), 0, 1);
+    let mut cc =
+        flo_serve::ClusterClient::with_resilience(membership.clone(), 1, Resilience::default());
     let batch = work_batch();
     // The batch must actually exercise routing: both nodes own keys.
     let mut owners = [0usize; 2];
@@ -237,7 +238,8 @@ fn trace_ids_survive_cluster_restart_and_reconnect_failover() {
     let membership = membership_of(2);
     let handles = spawn_nodes(&membership);
     wait_up(&membership);
-    let mut cc = flo_serve::ClusterClient::with_retries(membership.clone(), 0, 1);
+    let mut cc =
+        flo_serve::ClusterClient::with_resilience(membership.clone(), 1, Resilience::default());
     let req = Request::Simulate {
         app: "qio".into(),
         scale: Scale::Small,
@@ -317,7 +319,6 @@ fn keys_owned_by_a_dead_node_fail_typed_and_the_live_node_keeps_answering() {
     // contract the fallback layer is built on top of.
     let mut cc = flo_serve::ClusterClient::with_resilience(
         membership.clone(),
-        0,
         1,
         Resilience {
             fallbacks: 0,
@@ -371,7 +372,6 @@ fn dead_node_keys_fail_over_to_the_ring_successor_byte_identically() {
     wait_up(&live);
     let mut cc = flo_serve::ClusterClient::with_resilience(
         membership.clone(),
-        0,
         1,
         Resilience {
             fallbacks: 1,
@@ -444,7 +444,6 @@ fn halt_mid_pipelined_inflight_resolves_every_frame_to_a_typed_error() {
     // contract under test here.
     let mut cc = flo_serve::ClusterClient::with_resilience(
         membership.clone(),
-        0,
         1,
         Resilience {
             fallbacks: 0,
@@ -485,4 +484,258 @@ fn halt_mid_pipelined_inflight_resolves_every_frame_to_a_typed_error() {
         CircuitState::Open,
         "the kill must trip the node's breaker"
     );
+}
+
+/// Spawn one in-process flod per member with an armed control (the
+/// stall and halt switches); returns each node's control and handle.
+fn spawn_armed_nodes(
+    membership: &Membership,
+) -> Vec<(ServerControl, std::thread::JoinHandle<std::io::Result<()>>)> {
+    membership
+        .members
+        .iter()
+        .map(|m| {
+            let control = ServerControl::armed();
+            let cfg = ServerConfig {
+                listen: m.listen.clone(),
+                workers: 2,
+                queue_capacity: 64,
+                node_id: m.id.clone(),
+                run_name: format!("flod-cluster-test-{}", m.id),
+                control: control.clone(),
+                ..ServerConfig::default()
+            };
+            let service = Arc::new(Service::with_budget(64 << 20));
+            (
+                control,
+                std::thread::spawn(move || server::run(&cfg, service)),
+            )
+        })
+        .collect()
+}
+
+#[test]
+fn a_stalled_owner_fails_over_within_the_read_deadline() {
+    let _guard = SERVER_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    signal::reset();
+    let membership = membership_of(2);
+    let nodes = spawn_armed_nodes(&membership);
+    wait_up(&membership);
+    let batch = work_batch();
+    let direct = Service::with_budget(1 << 30);
+    let expected: Vec<String> = batch
+        .iter()
+        .map(|r| direct.execute(r).expect("direct").to_string())
+        .collect();
+    // Once warmed and sent with `call`, once with `call_many` only: both
+    // must arm the read deadline from their own latency samples.
+    for via_call in [true, false] {
+        let mut cc = flo_serve::ClusterClient::with_resilience(
+            membership.clone(),
+            1,
+            Resilience {
+                fallbacks: 1,
+                ..Resilience::default()
+            },
+        );
+        // Every key on both nodes, so the successor answers from its
+        // cache and the timing below measures detection, not compute.
+        for node in 0..2 {
+            for req in &batch {
+                cc.call_on(node, req, None).expect("pre-warm");
+            }
+        }
+        // Two rounds of 6 layouts + 6 simulates: past the 8 samples per
+        // kind that arm the deadline.
+        for _ in 0..2 {
+            if via_call {
+                for req in &batch {
+                    cc.call(req, None).expect("warm call");
+                }
+            } else {
+                for r in cc.call_many(&batch, None, 4) {
+                    r.expect("warm batch");
+                }
+            }
+        }
+        let stalled = cc.node_of(&batch[0]).expect("work request");
+        let control = nodes[stalled].0.clone();
+        control.set_stall(true);
+        // The flag takes effect when the event loop leaves its current
+        // 50 ms poll.
+        std::thread::sleep(Duration::from_millis(250));
+        // A client without a deadline would block until the node
+        // resumes: resume it after 6 s at worst, or as soon as the
+        // request returns.
+        let (done, wait) = mpsc::channel::<()>();
+        let resumer = {
+            let control = control.clone();
+            std::thread::spawn(move || {
+                let _ = wait.recv_timeout(Duration::from_secs(6));
+                control.set_stall(false);
+            })
+        };
+        let t0 = Instant::now();
+        let (sent, answers) = if via_call {
+            (&batch[..1], vec![cc.call(&batch[0], None)])
+        } else {
+            (&batch[..], cc.call_many(&batch, None, 4))
+        };
+        let waited = t0.elapsed();
+        drop(done);
+        resumer.join().expect("resumer thread");
+        for ((req, got), want) in sent.iter().zip(answers).zip(&expected) {
+            let got = got.unwrap_or_else(|e| panic!("{:?} must fail over, got {e}", req.kind()));
+            assert_eq!(&got.to_string(), want, "failover answer diverges");
+        }
+        assert!(
+            waited < Duration::from_secs(3),
+            "stalled owner held the request {waited:?} (via_call: {via_call})"
+        );
+        assert!(
+            cc.node_health(stalled).failovers > 0,
+            "the successor, not the resumed owner, must have answered"
+        );
+    }
+    signal::request_shutdown();
+    for (_, h) in nodes {
+        h.join().expect("server thread").expect("graceful drain");
+    }
+}
+
+#[test]
+fn pooled_connections_redial_restarted_owners() {
+    let _guard = SERVER_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    signal::reset();
+    let membership = membership_of(2);
+    let handles = spawn_nodes(&membership);
+    wait_up(&membership);
+    // Failover off: only the redial can reach a restarted owner.
+    let strict = Resilience {
+        fallbacks: 0,
+        ..Resilience::default()
+    };
+    let mut batcher = flo_serve::ClusterClient::with_resilience(membership.clone(), 1, strict);
+    let mut caller = flo_serve::ClusterClient::with_resilience(membership.clone(), 2, strict);
+    let batch = work_batch();
+    let direct = Service::with_budget(1 << 30);
+    let expected: Vec<String> = batch
+        .iter()
+        .map(|r| direct.execute(r).expect("direct").to_string())
+        .collect();
+    // Pool a connection to both nodes on each client.
+    for r in batcher.call_many(&batch, None, 4) {
+        r.expect("pooling batch");
+    }
+    for req in &batch {
+        caller.call(req, None).expect("pooling call");
+    }
+    signal::request_shutdown();
+    for h in handles {
+        h.join().expect("server thread").expect("graceful drain");
+    }
+    signal::reset();
+    let handles = spawn_nodes(&membership);
+    wait_up(&membership);
+    for ((req, got), want) in batch
+        .iter()
+        .zip(batcher.call_many(&batch, None, 4))
+        .zip(&expected)
+    {
+        let got = got.unwrap_or_else(|e| panic!("{:?} after the restart: {e}", req.kind()));
+        assert_eq!(&got.to_string(), want, "batch after restart");
+    }
+    for (req, want) in batch.iter().zip(&expected) {
+        let got = caller.call(req, None).expect("call after the restart");
+        assert_eq!(&got.to_string(), want, "call after restart");
+    }
+    signal::request_shutdown();
+    for h in handles {
+        h.join().expect("server thread").expect("graceful drain");
+    }
+}
+
+#[test]
+fn rerouted_requests_keep_their_trace() {
+    let _guard = SERVER_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    signal::reset();
+    // n1 is never started, so its keys fail over to n0.
+    let membership = membership_of(2);
+    let live = Membership {
+        members: vec![membership.members[0].clone()],
+    };
+    let handles = spawn_nodes(&live);
+    wait_up(&live);
+    let resilience = Resilience {
+        fallbacks: 1,
+        ..Resilience::default()
+    };
+    let mut cc = flo_serve::ClusterClient::with_resilience(membership.clone(), 7, resilience);
+    let mut twin = flo_serve::ClusterClient::with_resilience(membership.clone(), 7, resilience);
+    let batch = work_batch();
+    assert!(
+        batch.iter().any(|r| cc.node_of(r) == Some(1)),
+        "no key routed to the dead node"
+    );
+    for (i, answer) in cc.call_many_raw(&batch, None, 4).into_iter().enumerate() {
+        let bytes = answer.unwrap_or_else(|e| panic!("request {i}: {e}"));
+        let envelope = flo_json::parse(std::str::from_utf8(&bytes).expect("UTF-8 envelope"))
+            .expect("JSON envelope");
+        assert_eq!(
+            envelope.get("trace").and_then(flo_json::Json::as_u64),
+            Some(twin.gen_trace()),
+            "request {i} (owner n{}) must echo its position's trace",
+            cc.node_of(&batch[i]).expect("work request")
+        );
+    }
+    signal::request_shutdown();
+    for h in handles {
+        h.join().expect("server thread").expect("graceful drain");
+    }
+}
+
+#[test]
+fn a_response_for_no_request_in_flight_is_a_typed_error() {
+    use flo_serve::protocol::{ok_response, read_frame, write_frame};
+    // A fake node that answers every frame under a request id it was
+    // never sent.
+    let membership = membership_of(1);
+    let Listen::Unix(path) = membership.members[0].listen.clone() else {
+        unreachable!("test members listen on Unix sockets")
+    };
+    let listener = std::os::unix::net::UnixListener::bind(&path).expect("bind fake node");
+    let fake = std::thread::spawn(move || {
+        let (mut stream, _) = listener.accept().expect("accept");
+        while let Ok(frame) = read_frame(&mut stream, &|| false) {
+            let id = frame
+                .get("id")
+                .and_then(flo_json::Json::as_u64)
+                .unwrap_or(0);
+            let wrong = ok_response(id + 1000, flo_json::Json::obj());
+            if write_frame(&mut stream, &wrong).is_err() {
+                break;
+            }
+        }
+    });
+    let mut cc = flo_serve::ClusterClient::with_resilience(
+        membership.clone(),
+        1,
+        Resilience {
+            fallbacks: 0,
+            ..Resilience::default()
+        },
+    );
+    let batch = work_batch();
+    let results = cc.call_many_raw(&batch, None, 4);
+    assert_eq!(results.len(), batch.len(), "every request resolves");
+    for (req, result) in batch.iter().zip(results) {
+        match result {
+            Err(ServeError::NodeDown(m)) => assert!(m.contains("in flight"), "{m}"),
+            other => panic!("{:?} must be a typed node-down, got {other:?}", req.kind()),
+        }
+    }
+    // Dropping the client closes the connection and ends the fake.
+    drop(cc);
+    fake.join().expect("fake node thread");
+    let _ = std::fs::remove_file(&path);
 }
