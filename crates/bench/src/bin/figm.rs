@@ -21,7 +21,7 @@ fn main() {
     flo_bench::finish(&out.table, "figm");
     let path = Path::new("BENCH_store.json");
     match write_json_artifact(path, out.doc) {
-        Ok(()) => println!("wrote {}", path.display()),
+        Ok(()) => eprintln!("wrote {}", path.display()),
         Err(e) => eprintln!("warning: cannot write {}: {e}", path.display()),
     }
     if !out.all_agree {

@@ -18,7 +18,7 @@ fn main() {
     flo_bench::finish(&out.table, "figr");
     let path = Path::new("BENCH_fault.json");
     match write_json_artifact(path, out.doc) {
-        Ok(()) => println!("wrote {}", path.display()),
+        Ok(()) => eprintln!("wrote {}", path.display()),
         Err(e) => eprintln!("warning: cannot write {}: {e}", path.display()),
     }
 }

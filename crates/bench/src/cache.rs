@@ -260,10 +260,11 @@ impl<V, K: Hash + Eq + Clone> ShardedLru<V, K> {
     }
 }
 
-/// Approximate in-memory size of a trace set.
+/// Approximate in-memory size of a trace set: the requests' stored
+/// bytes plus a per-trace overhead.
 fn traces_cost(traces: &[ThreadTrace]) -> usize {
-    let entries: usize = traces.iter().map(|t| t.entries.len()).sum();
-    entries * std::mem::size_of::<flo_sim::TraceEntry>() + traces.len() * 96 + 64
+    let stored: usize = traces.iter().map(ThreadTrace::stored_bytes).sum();
+    stored + traces.len() * 96 + 64
 }
 
 /// Approximate in-memory size of a report.

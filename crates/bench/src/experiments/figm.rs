@@ -167,7 +167,7 @@ pub struct FigmOutput {
 pub fn spec_from_traces(traces: &[ThreadTrace], layout_hash: u64, topo: &Topology) -> StoreSpec {
     let mut extents: Vec<(u32, u64)> = Vec::new();
     for t in traces {
-        for e in &t.entries {
+        for e in t.entries() {
             match extents.iter_mut().find(|(f, _)| *f == e.block.file) {
                 Some((_, max)) => *max = (*max).max(e.block.index + 1),
                 None => extents.push((e.block.file, e.block.index + 1)),

@@ -99,7 +99,7 @@ pub fn karma_hints(traces: &[ThreadTrace], topo: &Topology) -> KarmaHints {
     }
     // Each file's bitsets span its largest block index.
     let mut words: Vec<usize> = Vec::new();
-    for e in traces.iter().flat_map(|t| &t.entries) {
+    for e in traces.iter().flat_map(ThreadTrace::entries) {
         let f = e.block.file as usize;
         if f >= words.len() {
             words.resize(f + 1, 0);
@@ -120,7 +120,7 @@ pub fn karma_hints(traces: &[ThreadTrace], topo: &Topology) -> KarmaHints {
     let mut groups = vec![tallies(); topo.io_nodes];
     for tr in traces {
         let group = &mut groups[topo.io_node_of_compute(tr.compute_node)];
-        for e in &tr.entries {
+        for e in tr.entries() {
             let t = &mut group[e.block.file as usize];
             t.accesses += e.count as u64;
             // A block already in this group's set is already in the
@@ -725,7 +725,7 @@ mod tests {
         let mut entries: Vec<(u32, u32, u64, u64)> = Vec::new();
         for tr in traces {
             let g = topo.io_node_of_compute(tr.compute_node) as u32;
-            for e in &tr.entries {
+            for e in tr.entries() {
                 entries.push((g, e.block.file, e.block.index, e.count as u64));
             }
         }

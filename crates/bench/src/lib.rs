@@ -207,12 +207,13 @@ pub fn persist(table: &Table, name: &str) {
 
 /// Standard experiment epilogue: print the table, persist its JSON, and
 /// — when `FLO_METRICS=jsonl` — drain the harness's collected metrics
-/// and phase spans into `results/metrics/<name>.jsonl`.
+/// and phase spans into `results/metrics/<name>.jsonl`. Stdout carries
+/// the table alone; artifact notices go to stderr.
 pub fn finish(table: &Table, name: &str) {
     println!("{table}");
     persist(table, name);
     if let Some(path) = metrics::write_artifact(name) {
-        println!("wrote {}", path.display());
+        eprintln!("wrote {}", path.display());
     }
 }
 

@@ -190,7 +190,7 @@ mod tests {
     fn collect(start: i64, stride: i64, len: i64, block_elems: u64) -> Vec<(u64, u32)> {
         let mut t = ThreadTrace::new(0, 0);
         emit_runs(&mut t, 0, start, stride, len, block_elems);
-        t.entries.iter().map(|e| (e.block.index, e.count)).collect()
+        t.entries().map(|e| (e.block.index, e.count)).collect()
     }
 
     fn reference(start: i64, stride: i64, len: i64, block_elems: u64) -> Vec<(u64, u32)> {
@@ -199,7 +199,7 @@ mod tests {
             let off = (start + k * stride) as u64;
             t.push(BlockAddr::containing(0, off, block_elems));
         }
-        t.entries.iter().map(|e| (e.block.index, e.count)).collect()
+        t.entries().map(|e| (e.block.index, e.count)).collect()
     }
 
     #[test]

@@ -72,9 +72,7 @@ pub fn generate_traces(
                 owned as u64 * inner as u64 * nest.refs.len() as u64
             })
             .sum();
-        trace
-            .entries
-            .reserve((cap as usize).min(RESERVE_CAP_ENTRIES));
+        trace.reserve((cap as usize).min(RESERVE_CAP_ENTRIES));
         for (nest, partition) in program.nests().iter().zip(&partitions) {
             emit::emit_nest(
                 program,
@@ -88,7 +86,7 @@ pub fn generate_traces(
         }
         // Traces live long (the bench layer caches them); return excess
         // growth capacity to the allocator.
-        trace.entries.shrink_to_fit();
+        trace.shrink_to_fit();
         trace
     })
 }
@@ -212,6 +210,30 @@ mod tests {
         // 64 iterations × 1 ref, block-collapsed → at most 64.
         assert!(total <= 64);
         assert!(total >= 16, "dedup cannot erase distinct blocks");
+    }
+
+    /// 100 000 reads of `A[0]` are one request of count 100 000, past
+    /// the packed count width: both generators keep it whole.
+    #[test]
+    fn long_run_on_one_element_stays_one_request() {
+        let mut b = ProgramBuilder::new();
+        let a = b.array("A", &[8]);
+        b.nest(&[100_000]).read(a, &[&[0]]).done();
+        let program = b.build();
+        let cfg = ParallelConfig::default_for(1);
+        let layouts = default_layouts(&program);
+        let topo = tiny_topology();
+        let want = vec![flo_sim::TraceEntry {
+            block: BlockAddr::new(0, 0),
+            count: 100_000,
+        }];
+        for traces in [
+            generate_traces(&program, &cfg, &layouts, &topo),
+            generate_traces_reference(&program, &cfg, &layouts, &topo),
+        ] {
+            assert_eq!(traces.len(), 1);
+            assert_eq!(traces[0].entries().collect::<Vec<_>>(), want);
+        }
     }
 
     #[test]

@@ -615,7 +615,7 @@ pub fn simulate_sweep_observed<O: Observer>(
         .collect();
     // u32 timestamps halve the recency slab; every real trace is far
     // below u32::MAX accesses, but check rather than assume.
-    let total: u64 = traces.iter().map(|t| t.entries.len() as u64).sum();
+    let total: u64 = traces.iter().map(|t| t.len() as u64).sum();
     if total < u32::MAX as u64 {
         if let Some(proto) = StackEngine::<u32>::new(&geometries) {
             return Ok(sweep_with(

@@ -8,8 +8,22 @@
 //! Cache statistics are charged per element (`count`), latency per
 //! transfer, which reproduces both the paper's miss-rate view and its
 //! execution-time view.
+//!
+//! **Stored form.** Traces run to millions of requests and the simulator
+//! streams every one, so a trace stores each request in 8 bytes — a
+//! packed `{ index: u32, file: u16, count: u16 }` — instead of the 24 of
+//! a [`TraceEntry`]. A request that does not fit those widths (a block
+//! index above `u32::MAX`, a file id of `u16::MAX` or above, or a count
+//! above `u16::MAX`, including one that coalescing grows past it) is
+//! *escaped*, never split or truncated: it is kept whole in a per-trace
+//! side table, and its packed slot holds the marker file `u16::MAX` plus
+//! its slot number in that table. Readers see only decoded
+//! [`TraceEntry`]s, through [`ThreadTrace::entries`] and
+//! [`JitterInterleaver`]; this module is the only one that knows the
+//! stored form.
 
 use crate::block::BlockAddr;
+use std::fmt;
 use std::sync::OnceLock;
 
 /// One coalesced block request.
@@ -21,15 +35,55 @@ pub struct TraceEntry {
     pub count: u32,
 }
 
+/// The stored form of one request (see the module docs).
+#[derive(Clone, Copy)]
+struct Packed {
+    /// Block index, or the side-table slot of an escaped entry.
+    index: u32,
+    /// File id, or [`ESCAPED`].
+    file: u16,
+    /// Element count; unused when escaped.
+    count: u16,
+}
+
+const _: () = assert!(std::mem::size_of::<Packed>() == 8);
+
+/// The `file` of an escaped slot. No request packs with it: file ids
+/// from `u16::MAX` up are escaped themselves.
+const ESCAPED: u16 = u16::MAX;
+
+/// Pack `entry`, moving it into the side table `escaped` when it does
+/// not fit.
+fn pack(entry: TraceEntry, escaped: &mut Vec<TraceEntry>) -> Packed {
+    if let (Ok(index), Ok(file), Ok(count)) = (
+        u32::try_from(entry.block.index),
+        u16::try_from(entry.block.file),
+        u16::try_from(entry.count),
+    ) {
+        if file != ESCAPED {
+            return Packed { index, file, count };
+        }
+    }
+    let slot = u32::try_from(escaped.len()).expect("side table exceeds u32 slots");
+    escaped.push(entry);
+    Packed {
+        index: slot,
+        file: ESCAPED,
+        count: 0,
+    }
+}
+
 /// The block-request stream of one thread.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Default)]
 pub struct ThreadTrace {
     /// Thread id.
     pub thread: usize,
     /// Compute node the thread runs on.
     pub compute_node: usize,
-    /// Coalesced requests in program order.
-    pub entries: Vec<TraceEntry>,
+    /// Coalesced requests in program order, packed.
+    packed: Vec<Packed>,
+    /// The escaped requests, in program order.
+    escaped: Vec<TraceEntry>,
     /// Lazily computed distinct-block footprint (invalidated on push).
     distinct: OnceLock<usize>,
 }
@@ -38,11 +92,21 @@ impl PartialEq for ThreadTrace {
     fn eq(&self, other: &ThreadTrace) -> bool {
         self.thread == other.thread
             && self.compute_node == other.compute_node
-            && self.entries == other.entries
+            && self.entries().eq(other.entries())
     }
 }
 
 impl Eq for ThreadTrace {}
+
+impl fmt::Debug for ThreadTrace {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("ThreadTrace")
+            .field("thread", &self.thread)
+            .field("compute_node", &self.compute_node)
+            .field("entries", &self.entries().collect::<Vec<_>>())
+            .finish()
+    }
+}
 
 impl ThreadTrace {
     /// Empty trace for `thread` on `compute_node`.
@@ -50,8 +114,7 @@ impl ThreadTrace {
         ThreadTrace {
             thread,
             compute_node,
-            entries: Vec::new(),
-            distinct: OnceLock::new(),
+            ..ThreadTrace::default()
         }
     }
 
@@ -69,28 +132,72 @@ impl ThreadTrace {
     pub fn push_run(&mut self, block: BlockAddr, count: u32) {
         debug_assert!(count > 0, "push_run: empty run");
         self.distinct = OnceLock::new();
-        if let Some(last) = self.entries.last_mut() {
-            if last.block == block {
-                last.count += count;
+        if let Some(last) = self.packed.last_mut() {
+            if last.file == ESCAPED {
+                let prev = &mut self.escaped[last.index as usize];
+                if prev.block == block {
+                    prev.count += count;
+                    return;
+                }
+            } else if BlockAddr::new(last.file.into(), last.index.into()) == block {
+                // Re-pack: a count grown past the packed width escapes whole.
+                let count = u32::from(last.count) + count;
+                *last = pack(TraceEntry { block, count }, &mut self.escaped);
                 return;
             }
         }
-        self.entries.push(TraceEntry { block, count });
+        let slot = pack(TraceEntry { block, count }, &mut self.escaped);
+        self.packed.push(slot);
+    }
+
+    /// Reserve room for `additional` more requests.
+    pub fn reserve(&mut self, additional: usize) {
+        self.packed.reserve(additional);
+    }
+
+    /// Return excess growth capacity to the allocator.
+    pub fn shrink_to_fit(&mut self) {
+        self.packed.shrink_to_fit();
+        self.escaped.shrink_to_fit();
     }
 
     /// Number of block requests (transfers).
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.packed.len()
     }
 
     /// True if no requests were recorded.
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.packed.is_empty()
+    }
+
+    /// Bytes the requests occupy in their stored form.
+    pub fn stored_bytes(&self) -> usize {
+        self.packed.len() * std::mem::size_of::<Packed>()
+            + self.escaped.len() * std::mem::size_of::<TraceEntry>()
+    }
+
+    /// The coalesced requests in program order.
+    pub fn entries(&self) -> impl ExactSizeIterator<Item = TraceEntry> + '_ {
+        self.packed.iter().map(|&p| self.decode(p))
+    }
+
+    /// The request packed slot `p` stands for.
+    #[inline]
+    fn decode(&self, p: Packed) -> TraceEntry {
+        if p.file == ESCAPED {
+            self.escaped[p.index as usize]
+        } else {
+            TraceEntry {
+                block: BlockAddr::new(p.file.into(), p.index.into()),
+                count: p.count.into(),
+            }
+        }
     }
 
     /// Total element accesses across all requests.
     pub fn element_accesses(&self) -> u64 {
-        self.entries.iter().map(|e| e.count as u64).sum()
+        self.entries().map(|e| u64::from(e.count)).sum()
     }
 
     /// Number of *distinct* blocks touched (the thread's block footprint —
@@ -100,7 +207,7 @@ impl ThreadTrace {
     /// the former sort+dedup per call dominated several figure runs.
     pub fn distinct_blocks(&self) -> usize {
         *self.distinct.get_or_init(|| {
-            let mut set: Vec<BlockAddr> = self.entries.iter().map(|e| e.block).collect();
+            let mut set: Vec<BlockAddr> = self.blocks().collect();
             set.sort_unstable();
             set.dedup();
             set.len()
@@ -109,7 +216,7 @@ impl ThreadTrace {
 
     /// Iterate over the requested blocks (ignoring counts).
     pub fn blocks(&self) -> impl Iterator<Item = BlockAddr> + '_ {
-        self.entries.iter().map(|e| e.block)
+        self.entries().map(|e| e.block)
     }
 }
 
@@ -164,11 +271,12 @@ impl Iterator for JitterInterleaver<'_> {
         }
         let pick = (self.next_rand() % self.active.len() as u64) as usize;
         let t = self.active[pick];
+        let trace = &self.traces[t];
         let pos = self.positions[t];
-        let entry = self.traces[t].entries[pos];
+        let entry = trace.decode(trace.packed[pos]);
         self.positions[t] = pos + 1;
         self.remaining -= 1;
-        if self.positions[t] == self.traces[t].entries.len() {
+        if pos + 1 == trace.len() {
             self.active.swap_remove(pick);
         }
         Some((t, entry))
@@ -191,7 +299,7 @@ mod tests {
         t.push(b(2));
         t.push(b(1));
         assert_eq!(
-            t.entries,
+            t.entries().collect::<Vec<_>>(),
             vec![
                 TraceEntry {
                     block: b(1),
@@ -263,7 +371,11 @@ mod tests {
                 .filter(|(t, _)| *t == idx)
                 .map(|&(_, e)| e)
                 .collect();
-            assert_eq!(mine, trace.entries, "thread {idx} reordered");
+            assert_eq!(
+                mine,
+                trace.entries().collect::<Vec<_>>(),
+                "thread {idx} reordered"
+            );
         }
     }
 

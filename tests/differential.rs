@@ -43,13 +43,13 @@ fn assert_identical(scheme: Scheme) {
                 scheme.name()
             );
             assert_eq!(
-                f.entries.len(),
-                s.entries.len(),
+                f.len(),
+                s.len(),
                 "{}/{} thread {t}: entry count",
                 w.name,
                 scheme.name()
             );
-            for (k, (fe, se)) in f.entries.iter().zip(&s.entries).enumerate() {
+            for (k, (fe, se)) in f.entries().zip(s.entries()).enumerate() {
                 assert_eq!(
                     fe,
                     se,
