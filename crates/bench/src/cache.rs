@@ -1,20 +1,15 @@
-//! Cross-run memoization: a lock-sharded, LRU-bounded cache core and the
-//! typed caches built on it.
+//! Cross-run memoization: an LRU-bounded memo table and the three
+//! tables one experiment process — or one `flod` service — shares.
 //!
 //! Every experiment run re-derives traces, simulations and KARMA hints
 //! that are pure functions of far fewer inputs than a full run
-//! configuration. The caches here key each artifact by exactly its
+//! configuration. The tables here key each artifact by exactly its
 //! determining inputs so sweeps and repeated configurations compute once
-//! and share thereafter. Originally these were per-binary locals; the
-//! `flo-serve` daemon promotes one [`RunCaches`] into a long-lived,
-//! shared service cache, which is why the core is now:
-//!
-//! * **lock-sharded** — concurrent requests for different keys contend on
-//!   different shard mutexes instead of one global lock, and
-//! * **LRU-bounded** — a byte budget caps residency; least-recently-used
-//!   entries are evicted so a long-lived server cannot grow without
-//!   bound. Experiments keep the old behavior via [`RunCaches::new`]
-//!   (an effectively unlimited budget).
+//! and share thereafter. The `flo-serve` daemon holds one [`RunCaches`]
+//! for its whole life, so each table is an [`Lru`]: one mutex and one
+//! byte budget, past which least-recently-used entries are evicted.
+//! Experiments keep every entry via [`RunCaches::new`] (an effectively
+//! unlimited budget).
 //!
 //! Correctness under eviction is free: every cached computation is
 //! deterministic, so an evicted entry recomputes bit-identically.
@@ -34,16 +29,12 @@ use flo_workloads::Workload;
 use std::collections::{BTreeMap, HashMap};
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 
-/// Number of independent shards. A power of two so the shard index is a
-/// mask of the (already well-mixed) key hash.
-const SHARDS: usize = 16;
-
-/// One shard: the slot map plus an exact LRU order maintained as a
-/// tick → key index (ticks are unique, monotone per shard).
+/// The slot map plus an exact LRU order kept as a tick → key index
+/// (ticks are unique and monotone).
 #[derive(Debug)]
-struct Shard<V, K> {
+struct Table<V, K> {
     slots: HashMap<K, Slot<V>>,
     recency: BTreeMap<u64, K>,
     tick: u64,
@@ -57,18 +48,7 @@ struct Slot<V> {
     tick: u64,
 }
 
-impl<V, K> Default for Shard<V, K> {
-    fn default() -> Shard<V, K> {
-        Shard {
-            slots: HashMap::new(),
-            recency: BTreeMap::new(),
-            tick: 0,
-            used_bytes: 0,
-        }
-    }
-}
-
-impl<V, K: Hash + Eq + Clone> Shard<V, K> {
+impl<V, K: Hash + Eq + Clone> Table<V, K> {
     /// Refresh the recency of a resident key and share out its value.
     fn touch(&mut self, key: &K) -> Option<Arc<V>> {
         let slot = self.slots.get_mut(key)?;
@@ -82,9 +62,9 @@ impl<V, K: Hash + Eq + Clone> Shard<V, K> {
         Some(Arc::clone(&slot.value))
     }
 
-    /// Evict least-recently-used slots until the shard fits its budget.
+    /// Evict least-recently-used slots until the table fits `budget`.
     /// Returns the number of evictions (the just-inserted entry itself
-    /// may go when it alone exceeds the budget — the caller still holds
+    /// goes when it alone exceeds the budget — the caller still holds
     /// the returned `Arc`, so only future residency is lost).
     fn evict_to(&mut self, budget: usize) -> u64 {
         let mut evicted = 0;
@@ -100,58 +80,49 @@ impl<V, K: Hash + Eq + Clone> Shard<V, K> {
     }
 }
 
-/// A concurrency-safe memo table: lock-sharded, LRU-bounded by an
-/// approximate byte budget, values shared out as `Arc<V>`.
+/// A concurrency-safe memo table: one mutex over an exact LRU order,
+/// bounded by an approximate byte budget, values shared out as `Arc<V>`.
+/// Every entry no larger than the budget can stay resident.
 ///
-/// Keys default to `u64` digests of the determining inputs. A key is
-/// compared in full on every lookup; its `FxHasher` digest only picks
-/// the shard.
+/// Keys default to `u64` digests of the determining inputs; a key is
+/// compared in full on every lookup.
 #[derive(Debug)]
-pub struct ShardedLru<V, K = u64> {
-    shards: Vec<Mutex<Shard<V, K>>>,
-    shard_budget: usize,
+pub struct Lru<V, K = u64> {
+    table: Mutex<Table<V, K>>,
+    budget: usize,
     hits: AtomicU64,
     misses: AtomicU64,
     evictions: AtomicU64,
 }
 
-impl<V, K: Hash + Eq + Clone> ShardedLru<V, K> {
-    /// A cache bounded by roughly `budget_bytes` of value cost
-    /// (per-shard budgets of `budget_bytes / SHARDS`; costs are the
-    /// caller-supplied estimates passed to [`ShardedLru::insert`]).
-    pub fn bounded(budget_bytes: usize) -> ShardedLru<V, K> {
-        ShardedLru::bounded_with_shards(budget_bytes, SHARDS)
-    }
-
-    /// [`ShardedLru::bounded`] with an explicit shard count (a power of
-    /// two). The budget splits evenly across shards, so a cache of few,
-    /// large entries (rendered layout/response JSON runs ~100 KiB each)
-    /// wants few shards: with the default 16, an entry bigger than
-    /// `budget / 16` can never stay resident no matter how much of the
-    /// total budget is free.
-    pub fn bounded_with_shards(budget_bytes: usize, shards: usize) -> ShardedLru<V, K> {
-        assert!(
-            shards.is_power_of_two(),
-            "shard count must be a power of two"
-        );
-        ShardedLru {
-            shards: (0..shards).map(|_| Mutex::new(Shard::default())).collect(),
-            shard_budget: budget_bytes / shards,
+impl<V, K: Hash + Eq + Clone> Lru<V, K> {
+    /// A cache bounded by roughly `budget_bytes` of value cost (costs
+    /// are the caller-supplied estimates passed to [`Lru::insert`]).
+    pub fn bounded(budget_bytes: usize) -> Lru<V, K> {
+        Lru {
+            table: Mutex::new(Table {
+                slots: HashMap::new(),
+                recency: BTreeMap::new(),
+                tick: 0,
+                used_bytes: 0,
+            }),
+            budget: budget_bytes,
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             evictions: AtomicU64::new(0),
         }
     }
 
-    /// An effectively unbounded cache (the pre-service behavior).
-    pub fn unbounded() -> ShardedLru<V, K> {
-        ShardedLru::bounded(usize::MAX)
+    /// An effectively unbounded cache (the experiment-process behavior).
+    pub fn unbounded() -> Lru<V, K> {
+        Lru::bounded(usize::MAX)
     }
 
-    fn shard(&self, key: &K) -> &Mutex<Shard<V, K>> {
-        let mut h = FxHasher::default();
-        key.hash(&mut h);
-        &self.shards[(h.finish() as usize) & (self.shards.len() - 1)]
+    /// The locked table. Values are built outside the lock, so only a
+    /// bug here, or a key's `Hash` or a value's `Drop` panicking, can
+    /// poison it.
+    fn table(&self) -> MutexGuard<'_, Table<V, K>> {
+        self.table.lock().expect("an LRU table operation panicked")
     }
 
     /// Look up `key`, refreshing its recency. Counts a hit or a miss.
@@ -169,7 +140,7 @@ impl<V, K: Hash + Eq + Clone> ShardedLru<V, K> {
     /// job): on a miss the worker's own `get` counts it, so counting
     /// here too would double every miss.
     pub fn peek(&self, key: &K) -> Option<Arc<V>> {
-        let found = self.shard(key).lock().unwrap().touch(key);
+        let found = self.table().touch(key);
         if found.is_some() {
             self.hits.fetch_add(1, Ordering::Relaxed);
         }
@@ -182,15 +153,15 @@ impl<V, K: Hash + Eq + Clone> ShardedLru<V, K> {
     /// deterministic, so both are identical); the resident `Arc` is
     /// returned either way.
     pub fn insert(&self, key: K, value: Arc<V>, cost: usize) -> Arc<V> {
-        let mut shard = self.shard(&key).lock().unwrap();
-        if let Some(resident) = shard.touch(&key) {
+        let mut table = self.table();
+        if let Some(resident) = table.touch(&key) {
             return resident;
         }
-        shard.tick += 1;
-        let tick = shard.tick;
-        shard.recency.insert(tick, key.clone());
-        shard.used_bytes += cost;
-        shard.slots.insert(
+        table.tick += 1;
+        let tick = table.tick;
+        table.recency.insert(tick, key.clone());
+        table.used_bytes += cost;
+        table.slots.insert(
             key,
             Slot {
                 value: Arc::clone(&value),
@@ -198,17 +169,16 @@ impl<V, K: Hash + Eq + Clone> ShardedLru<V, K> {
                 tick,
             },
         );
-        let evicted = shard.evict_to(self.shard_budget);
+        let evicted = table.evict_to(self.budget);
         if evicted > 0 {
             self.evictions.fetch_add(evicted, Ordering::Relaxed);
         }
         value
     }
 
-    /// Get-or-compute: on a miss the value is built *outside* the shard
-    /// lock (concurrent misses must not serialize their expensive
-    /// builds; a racing duplicate is harmless and the first resident
-    /// value wins).
+    /// Get-or-compute: on a miss the value is built *outside* the lock
+    /// (concurrent misses must not serialize their expensive builds; a
+    /// racing duplicate is harmless and the first resident value wins).
     pub fn get_or_insert_with(
         &self,
         key: K,
@@ -240,18 +210,12 @@ impl<V, K: Hash + Eq + Clone> ShardedLru<V, K> {
 
     /// Number of distinct entries currently resident.
     pub fn len(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| s.lock().unwrap().slots.len())
-            .sum()
+        self.table().slots.len()
     }
 
     /// Approximate resident cost in bytes.
     pub fn used_bytes(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| s.lock().unwrap().used_bytes)
-            .sum()
+        self.table().used_bytes
     }
 
     /// True when nothing is resident.
@@ -267,9 +231,9 @@ fn traces_cost(traces: &[ThreadTrace]) -> usize {
     stored + traces.len() * 96 + 64
 }
 
-/// Approximate in-memory size of a report.
-fn report_cost(report: &SimReport) -> usize {
-    std::mem::size_of::<SimReport>() + report.thread_latency_ms.len() * 8
+/// Approximate in-memory size of a memoized simulation.
+fn sim_cost(run: &SimRun) -> usize {
+    std::mem::size_of::<SimRun>() + run.0.thread_latency_ms.len() * 8
 }
 
 /// Approximate in-memory size of a hint set.
@@ -279,162 +243,9 @@ fn hints_cost(hints: &KarmaHints) -> usize {
     ranges * 24 + 64
 }
 
-/// A concurrency-safe memo table for generated traces.
-#[derive(Debug)]
-pub struct TraceCache {
-    map: ShardedLru<Vec<ThreadTrace>>,
-}
-
-impl Default for TraceCache {
-    fn default() -> TraceCache {
-        TraceCache::new()
-    }
-}
-
-impl TraceCache {
-    /// Unbounded cache (experiment-process behavior).
-    pub fn new() -> TraceCache {
-        TraceCache {
-            map: ShardedLru::unbounded(),
-        }
-    }
-
-    /// Cache bounded by roughly `budget_bytes` of trace data.
-    pub fn bounded(budget_bytes: usize) -> TraceCache {
-        TraceCache {
-            map: ShardedLru::bounded(budget_bytes),
-        }
-    }
-
-    /// The traces of `workload` under (`cfg`, `layouts`, block size) —
-    /// generated on first request, shared thereafter.
-    pub fn traces_for(
-        &self,
-        workload: &Workload,
-        cfg: &ParallelConfig,
-        layouts: &[FileLayout],
-        topo: &Topology,
-    ) -> Arc<Vec<ThreadTrace>> {
-        let key = trace_key(workload, cfg, layouts, topo);
-        self.traces_for_key(key, || {
-            flo_core::generate_traces(&workload.program, cfg, layouts, topo)
-        })
-    }
-
-    /// [`Self::traces_for`] with the key precomputed — the harness hashes
-    /// each run's trace inputs once and reuses the key for both trace and
-    /// simulation memoization (a key computation hashes megabytes for
-    /// hierarchical layouts at full scale).
-    pub(crate) fn traces_for_key(
-        &self,
-        key: u64,
-        generate: impl FnOnce() -> Vec<ThreadTrace>,
-    ) -> Arc<Vec<ThreadTrace>> {
-        self.map
-            .get_or_insert_with(key, |t| traces_cost(t), generate)
-    }
-
-    /// Number of lookups served from the cache.
-    pub fn hits(&self) -> u64 {
-        self.map.hits()
-    }
-
-    /// Number of lookups that had to generate.
-    pub fn misses(&self) -> u64 {
-        self.map.misses()
-    }
-
-    /// Number of trace sets evicted under budget pressure.
-    pub fn evictions(&self) -> u64 {
-        self.map.evictions()
-    }
-
-    /// Number of distinct trace sets held.
-    pub fn len(&self) -> usize {
-        self.map.len()
-    }
-
-    /// True when nothing has been cached yet.
-    pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
-    }
-}
-
-/// Memoization of full simulation results across experiment runs.
-///
-/// A simulation is a pure function of the traces, the topology, the
-/// replacement policy, the run constants and the fault plan (if any) —
-/// *not* of the scheme that produced the traces. Several figures
-/// therefore repeat bit-identical simulations: every `normalized_exec`
-/// call resimulates the `Default` baseline its variants share (Fig. 7(f)
-/// runs it three times per application, Fig. 7(g) twice), and a scheme
-/// whose layouts happen to equal the default's (the paper's group-1
-/// applications) resimulates the baseline under a different name. A
-/// [`SimCache`] keys reports by exactly the simulation-determining
-/// inputs and shares one run per distinct key.
-#[derive(Debug)]
-pub struct SimCache {
-    map: ShardedLru<SimReport>,
-}
-
-impl Default for SimCache {
-    fn default() -> SimCache {
-        SimCache::new()
-    }
-}
-
-impl SimCache {
-    /// Unbounded cache (experiment-process behavior).
-    pub fn new() -> SimCache {
-        SimCache {
-            map: ShardedLru::unbounded(),
-        }
-    }
-
-    /// Cache bounded by roughly `budget_bytes` of reports.
-    pub fn bounded(budget_bytes: usize) -> SimCache {
-        SimCache {
-            map: ShardedLru::bounded(budget_bytes),
-        }
-    }
-
-    /// Look up a report by its [`sim_key`].
-    pub fn get(&self, key: u64) -> Option<Arc<SimReport>> {
-        self.map.get(&key)
-    }
-
-    /// Store the report simulated for `key`. Racing duplicate inserts are
-    /// harmless — the simulator is deterministic, so both are identical.
-    pub fn insert(&self, key: u64, report: SimReport) -> Arc<SimReport> {
-        let cost = report_cost(&report);
-        self.map.insert(key, Arc::new(report), cost)
-    }
-
-    /// Number of lookups served from the cache.
-    pub fn hits(&self) -> u64 {
-        self.map.hits()
-    }
-
-    /// Number of lookups that missed.
-    pub fn misses(&self) -> u64 {
-        self.map.misses()
-    }
-
-    /// Number of reports evicted under budget pressure.
-    pub fn evictions(&self) -> u64 {
-        self.map.evictions()
-    }
-
-    /// Number of distinct reports held.
-    pub fn len(&self) -> usize {
-        self.map.len()
-    }
-
-    /// True when nothing has been cached yet.
-    pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
-    }
-}
+/// A memoized simulation: its report and the fault counters its
+/// schedule produced (all zero for a healthy run).
+pub(crate) type SimRun = (SimReport, FaultCounters);
 
 /// Hash of exactly the inputs a simulation depends on: the traces (via
 /// their generation key — the cheap, already-computed proxy for trace
@@ -481,25 +292,29 @@ pub fn sim_key(
 }
 
 /// The memo tables one experiment process — or one `flod` service —
-/// shares across all of its runs: generated traces, finished healthy
-/// simulations, faulted simulations (report + fault counters), and KARMA
-/// hints. Held once per experiment (like the former lone `TraceCache`)
-/// so that every sweep axis reuses whatever any other point already
-/// computed; held once per server so concurrent requests for overlapping
-/// keys hit memoized results.
+/// shares across all of its runs: generated traces, finished simulations
+/// (healthy and faulted alike: [`sim_key`] folds the fault plan in), and
+/// KARMA hints. Held once per experiment so that every sweep axis reuses
+/// whatever any other point already computed; held once per server so
+/// concurrent requests for overlapping keys hit memoized results.
+///
+/// A simulation is a pure function of the traces, the topology, the
+/// replacement policy, the run constants and the fault plan (if any) —
+/// *not* of the scheme that produced the traces. Several figures
+/// therefore repeat bit-identical simulations: every `normalized_exec`
+/// call resimulates the `Default` baseline its variants share (Fig. 7(f)
+/// runs it three times per application, Fig. 7(g) twice), and a scheme
+/// whose layouts happen to equal the default's (the paper's group-1
+/// applications) resimulates the baseline under a different name; the
+/// simulation table shares one run per distinct key.
 #[derive(Debug)]
 pub struct RunCaches {
-    /// Trace memoization (keyed by trace-determining inputs).
-    pub traces: TraceCache,
-    /// Healthy-simulation memoization (keyed by [`sim_key`] with no
-    /// fault plan).
-    pub sims: SimCache,
-    /// Faulted-simulation memoization: the report *and* the fault
-    /// counters the deterministic schedule produced, keyed by
-    /// [`sim_key`] with the plan folded in.
-    faults: ShardedLru<(SimReport, FaultCounters)>,
+    /// Trace memoization (keyed by [`trace_key`]).
+    traces: Lru<Vec<ThreadTrace>>,
+    /// Simulation memoization (keyed by [`sim_key`]).
+    sims: Lru<SimRun>,
     /// KARMA hint memoization (keyed by trace key + routing topology).
-    hints: ShardedLru<KarmaHints>,
+    hints: Lru<KarmaHints>,
 }
 
 impl Default for RunCaches {
@@ -513,66 +328,65 @@ impl RunCaches {
     /// one-shot binary's working set is bounded by its figure).
     pub fn new() -> RunCaches {
         RunCaches {
-            traces: TraceCache::new(),
-            sims: SimCache::new(),
-            faults: ShardedLru::unbounded(),
-            hints: ShardedLru::unbounded(),
+            traces: Lru::unbounded(),
+            sims: Lru::unbounded(),
+            hints: Lru::unbounded(),
         }
     }
 
-    /// Caches bounded by roughly `budget_bytes` in total, split by
-    /// expected weight: traces dominate (half), then reports and the
-    /// rest. A long-lived service sizes this from `FLO_CACHE_MB`.
+    /// Caches bounded by `budget_bytes`, split by expected weight: traces
+    /// ½, simulations 5/16, hints ⅛. That is 15/16 of the budget; a
+    /// service keeps its response bytes in the last 1/16, so the whole
+    /// service stays within `FLO_CACHE_MB`.
     pub fn with_budget(budget_bytes: usize) -> RunCaches {
         RunCaches {
-            traces: TraceCache::bounded(budget_bytes / 2),
-            sims: SimCache::bounded(budget_bytes / 4),
-            faults: ShardedLru::bounded(budget_bytes / 8),
-            hints: ShardedLru::bounded(budget_bytes / 8),
+            traces: Lru::bounded(budget_bytes / 2),
+            sims: Lru::bounded(budget_bytes / 16 * 5),
+            hints: Lru::bounded(budget_bytes / 8),
         }
     }
 
-    /// Look up a memoized faulted run.
-    pub fn faulted_get(&self, key: u64) -> Option<Arc<(SimReport, FaultCounters)>> {
-        self.faults.get(&key)
-    }
-
-    /// Store a faulted run (report + counters) under its faulted
-    /// [`sim_key`].
-    pub fn faulted_insert(
+    /// The traces under `key` (a [`trace_key`]) — generated on first
+    /// request, shared thereafter.
+    pub(crate) fn traces_for_key(
         &self,
         key: u64,
-        report: SimReport,
-        counters: FaultCounters,
-    ) -> Arc<(SimReport, FaultCounters)> {
-        let cost = report_cost(&report) + std::mem::size_of::<FaultCounters>();
-        self.faults.insert(key, Arc::new((report, counters)), cost)
+        generate: impl FnOnce() -> Vec<ThreadTrace>,
+    ) -> Arc<Vec<ThreadTrace>> {
+        self.traces
+            .get_or_insert_with(key, |t| traces_cost(t), generate)
     }
 
-    /// Total hits across all four constituent caches.
+    /// Look up a memoized simulation by its [`sim_key`].
+    pub(crate) fn sim(&self, key: u64) -> Option<Arc<SimRun>> {
+        self.sims.get(&key)
+    }
+
+    /// Store the simulation run for `key`. Racing duplicate inserts are
+    /// harmless — the simulator is deterministic, so both are identical.
+    pub(crate) fn insert_sim(&self, key: u64, run: SimRun) {
+        let cost = sim_cost(&run);
+        self.sims.insert(key, Arc::new(run), cost);
+    }
+
+    /// Total hits across the three tables.
     pub fn total_hits(&self) -> u64 {
-        self.traces.hits() + self.sims.hits() + self.faults.hits() + self.hints.hits()
+        self.traces.hits() + self.sims.hits() + self.hints.hits()
     }
 
-    /// Total misses across all four constituent caches.
+    /// Total misses across the three tables.
     pub fn total_misses(&self) -> u64 {
-        self.traces.misses() + self.sims.misses() + self.faults.misses() + self.hints.misses()
+        self.traces.misses() + self.sims.misses() + self.hints.misses()
     }
 
-    /// Total evictions across all four constituent caches.
+    /// Total evictions across the three tables.
     pub fn total_evictions(&self) -> u64 {
-        self.traces.evictions()
-            + self.sims.evictions()
-            + self.faults.evictions()
-            + self.hints.evictions()
+        self.traces.evictions() + self.sims.evictions() + self.hints.evictions()
     }
 
-    /// Approximate resident bytes across all four constituent caches.
+    /// Approximate resident bytes across the three tables.
     pub fn used_bytes(&self) -> usize {
-        self.traces.map.used_bytes()
-            + self.sims.map.used_bytes()
-            + self.faults.used_bytes()
-            + self.hints.used_bytes()
+        self.traces.used_bytes() + self.sims.used_bytes() + self.hints.used_bytes()
     }
 
     /// The KARMA hints of one trace set under one routing topology —
@@ -663,33 +477,47 @@ mod tests {
         (w, topo, cfg)
     }
 
+    /// The traces of `w` under (`cfg`, `layouts`, block size), through
+    /// the trace table as the harness looks them up.
+    fn traces_for(
+        caches: &RunCaches,
+        w: &Workload,
+        cfg: &ParallelConfig,
+        layouts: &[FileLayout],
+        topo: &Topology,
+    ) -> Arc<Vec<ThreadTrace>> {
+        caches.traces_for_key(trace_key(w, cfg, layouts, topo), || {
+            generate_traces(&w.program, cfg, layouts, topo)
+        })
+    }
+
     #[test]
     fn second_lookup_hits_and_matches_generation() {
         let (w, topo, cfg) = setup();
-        let cache = TraceCache::new();
+        let caches = RunCaches::new();
         let layouts = default_layouts(&w.program);
-        let first = cache.traces_for(&w, &cfg, &layouts, &topo);
-        let second = cache.traces_for(&w, &cfg, &layouts, &topo);
+        let first = traces_for(&caches, &w, &cfg, &layouts, &topo);
+        let second = traces_for(&caches, &w, &cfg, &layouts, &topo);
         assert!(
             Arc::ptr_eq(&first, &second),
             "hit must share the generation"
         );
-        assert_eq!(cache.hits(), 1);
-        assert_eq!(cache.misses(), 1);
-        assert_eq!(cache.len(), 1);
+        assert_eq!(caches.traces.hits(), 1);
+        assert_eq!(caches.traces.misses(), 1);
+        assert_eq!(caches.traces.len(), 1);
         assert_eq!(*first, generate_traces(&w.program, &cfg, &layouts, &topo));
     }
 
     #[test]
     fn distinct_layouts_get_distinct_entries() {
         let (w, topo, cfg) = setup();
-        let cache = TraceCache::new();
+        let caches = RunCaches::new();
         let row = default_layouts(&w.program);
         let col: Vec<FileLayout> = row.iter().map(|_| FileLayout::ColMajor).collect();
-        let a = cache.traces_for(&w, &cfg, &row, &topo);
-        let b = cache.traces_for(&w, &cfg, &col, &topo);
+        let a = traces_for(&caches, &w, &cfg, &row, &topo);
+        let b = traces_for(&caches, &w, &cfg, &col, &topo);
         assert!(!Arc::ptr_eq(&a, &b));
-        assert_eq!(cache.misses(), 2);
+        assert_eq!(caches.traces.misses(), 2);
         assert_ne!(*a, *b, "different layouts must yield different traces");
     }
 
@@ -699,53 +527,76 @@ mod tests {
         let mut bigger = topo.clone();
         bigger.io_cache_blocks *= 2;
         bigger.storage_cache_blocks *= 2;
-        let cache = TraceCache::new();
+        let caches = RunCaches::new();
         let layouts = default_layouts(&w.program);
-        cache.traces_for(&w, &cfg, &layouts, &topo);
-        cache.traces_for(&w, &cfg, &layouts, &bigger);
-        assert_eq!(cache.hits(), 1, "capacities are not trace inputs");
+        traces_for(&caches, &w, &cfg, &layouts, &topo);
+        traces_for(&caches, &w, &cfg, &layouts, &bigger);
+        assert_eq!(caches.traces.hits(), 1, "capacities are not trace inputs");
     }
 
     #[test]
     fn block_size_changes_miss() {
         let (w, topo, cfg) = setup();
-        let cache = TraceCache::new();
+        let caches = RunCaches::new();
         let layouts = default_layouts(&w.program);
-        cache.traces_for(&w, &cfg, &layouts, &topo);
-        cache.traces_for(
+        traces_for(&caches, &w, &cfg, &layouts, &topo);
+        traces_for(
+            &caches,
             &w,
             &cfg,
             &layouts,
             &topo.with_block_elems(topo.block_elems / 2),
         );
-        assert_eq!(cache.misses(), 2, "block size is a trace input");
+        assert_eq!(caches.traces.misses(), 2, "block size is a trace input");
     }
 
     #[test]
     fn lru_evicts_least_recently_used_under_budget() {
-        // Entries of cost 100 against a per-shard budget of 150: within
-        // one shard, only the most recent entry survives... but keys
-        // spread across shards, so drive one shard directly with keys
-        // that collide on shard index (multiples of SHARDS).
-        let lru: ShardedLru<u64> = ShardedLru::bounded(150 * SHARDS);
-        let k = |i: u64| i * (SHARDS as u64); // all land in shard 0
-        lru.insert(k(1), Arc::new(1), 100);
-        lru.insert(k(2), Arc::new(2), 100); // evicts k(1)
+        // Entries of cost 100 against a budget of 250: two fit.
+        let lru: Lru<u64> = Lru::bounded(250);
+        lru.insert(1, Arc::new(1), 100);
+        lru.insert(2, Arc::new(2), 100);
+        assert_eq!(lru.evictions(), 0);
+        lru.insert(3, Arc::new(3), 100); // evicts 1, the oldest
         assert_eq!(lru.evictions(), 1);
-        assert!(lru.get(&k(1)).is_none());
-        assert!(lru.get(&k(2)).is_some());
-        // Touch k(2), insert k(3): k(2) is most recent, k(3) resident,
-        // then inserting k(4) evicts k(3) (the least recently used).
-        lru.insert(k(3), Arc::new(3), 100);
-        assert!(lru.get(&k(3)).is_some());
-        lru.insert(k(4), Arc::new(4), 100);
-        assert!(lru.get(&k(3)).is_none(), "LRU entry must be evicted");
-        assert!(lru.get(&k(4)).is_some());
+        assert!(lru.get(&1).is_none(), "LRU entry must be evicted");
+        // Touch 2, so 3 is now the least recently used: inserting 4
+        // evicts 3, not 2.
+        assert!(lru.get(&2).is_some());
+        lru.insert(4, Arc::new(4), 100);
+        assert_eq!(lru.evictions(), 2);
+        assert!(lru.get(&3).is_none(), "LRU entry must be evicted");
+        assert!(lru.get(&2).is_some());
+        assert!(lru.get(&4).is_some());
+        assert_eq!((lru.len(), lru.used_bytes()), (2, 200));
+    }
+
+    #[test]
+    fn an_entry_costing_more_than_a_sixteenth_of_the_budget_stays_resident() {
+        let lru: Lru<u64> = Lru::bounded(1600);
+        for k in 0..8 {
+            lru.insert(k, Arc::new(k), 10);
+        }
+        lru.insert(100, Arc::new(100), 1000);
+        assert_eq!(lru.get(&100).as_deref(), Some(&100));
+        assert_eq!(lru.evictions(), 0);
+        assert_eq!(lru.len(), 9);
+
+        // The same through the service-sized trace table: one small-scale
+        // trace set, costing a quarter of the table's budget.
+        let (w, topo, cfg) = setup();
+        let layouts = default_layouts(&w.program);
+        let cost = traces_cost(&generate_traces(&w.program, &cfg, &layouts, &topo));
+        let caches = RunCaches::with_budget(8 * cost);
+        let first = traces_for(&caches, &w, &cfg, &layouts, &topo);
+        let second = traces_for(&caches, &w, &cfg, &layouts, &topo);
+        assert!(Arc::ptr_eq(&first, &second), "the second lookup hits");
+        assert_eq!((caches.traces.hits(), caches.total_evictions()), (1, 0));
     }
 
     #[test]
     fn zero_budget_retains_nothing_but_returns_values() {
-        let lru: ShardedLru<u64> = ShardedLru::bounded(0);
+        let lru: Lru<u64> = Lru::bounded(0);
         let v = lru.insert(7, Arc::new(42), 8);
         assert_eq!(*v, 42, "caller still gets the value");
         assert!(lru.is_empty(), "budget 0 retains nothing");
@@ -755,14 +606,14 @@ mod tests {
     #[test]
     fn bounded_trace_cache_recomputes_identically_after_eviction() {
         let (w, topo, cfg) = setup();
-        let cache = TraceCache::bounded(0); // evict everything immediately
+        let caches = RunCaches::with_budget(0); // evict everything immediately
         let layouts = default_layouts(&w.program);
-        let a = cache.traces_for(&w, &cfg, &layouts, &topo);
-        let b = cache.traces_for(&w, &cfg, &layouts, &topo);
+        let a = traces_for(&caches, &w, &cfg, &layouts, &topo);
+        let b = traces_for(&caches, &w, &cfg, &layouts, &topo);
         assert!(!Arc::ptr_eq(&a, &b), "nothing stays resident");
         assert_eq!(*a, *b, "recomputation is bit-identical");
-        assert_eq!(cache.misses(), 2);
-        assert!(cache.evictions() >= 2);
+        assert_eq!(caches.traces.misses(), 2);
+        assert!(caches.traces.evictions() >= 2);
     }
 
     #[test]
@@ -806,17 +657,33 @@ mod tests {
 
     #[test]
     fn faulted_cache_round_trips_report_and_counters() {
-        let caches = RunCaches::new();
+        let (_, topo, _) = setup();
+        let run_cfg = RunConfig::default();
+        let plan = FaultPlan::default_degraded(7);
+        let key = |plan| sim_key(1, &topo, PolicyKind::LruInclusive, &run_cfg, plan);
+        let (healthy, faulted) = (key(None), key(Some(&plan)));
+        let report = |ms| SimReport {
+            execution_time_ms: ms,
+            ..Default::default()
+        };
         let counters = FaultCounters {
             retries: 3,
             ..Default::default()
         };
-        let report = SimReport::default();
-        assert!(caches.faulted_get(9).is_none());
-        caches.faulted_insert(9, report, counters);
-        let hit = caches.faulted_get(9).unwrap();
-        assert_eq!(hit.1.retries, 3);
-        assert_eq!(caches.total_hits(), 1);
+        let caches = RunCaches::new();
+        caches.insert_sim(healthy, (report(1.0), FaultCounters::default()));
+        assert!(
+            caches.sim(faulted).is_none(),
+            "a healthy run must not answer for a faulted one"
+        );
+        caches.insert_sim(faulted, (report(2.0), counters));
+        assert_eq!(caches.sims.len(), 2, "one entry per run");
+        let hit = caches.sim(faulted).unwrap();
+        assert_eq!((hit.0.execution_time_ms, hit.1.retries), (2.0, 3));
+        let hit = caches.sim(healthy).unwrap();
+        assert_eq!(hit.0.execution_time_ms, 1.0, "nor a faulted for a healthy");
+        assert!(!hit.1.any());
+        assert_eq!(caches.total_hits(), 2);
         assert_eq!(caches.total_misses(), 1);
     }
 }

@@ -837,14 +837,6 @@ pub fn health_table(snapshot: &Json) -> Option<Table> {
             u(h, "failovers").to_string(),
         ]);
     }
-    if let Some(b) = health.get("budget") {
-        t.note(format!(
-            "retry budget: {} token(s) left, {} spent, {} denied",
-            u(b, "balance"),
-            u(b, "spent"),
-            u(b, "denied")
-        ));
-    }
     Some(t)
 }
 

@@ -1,6 +1,6 @@
 //! Run one (workload × scheme × policy × topology) configuration.
 
-use crate::cache::{sim_key, trace_key, RunCaches};
+use crate::cache::{sim_key, trace_key, RunCaches, SimRun};
 use crate::error::BenchError;
 use crate::metrics::{self, SimRecord};
 use flo_core::baseline::{compmap, reindex};
@@ -234,37 +234,44 @@ pub fn prepare_run(
 
 /// The single `simulate` call site of the harness: generates (or fetches
 /// memoized) traces, builds the system — with memoized KARMA hints when
-/// caches are supplied — and runs it.
+/// `memo` supplies the caches and the run's trace key — and runs it,
+/// under `plan` when one is given. Returns the report and the fault
+/// counters the plan's schedule produced (all zero for a healthy run).
 fn simulate_prepared(
-    caches: Option<&RunCaches>,
-    tkey: u64,
+    memo: Option<(&RunCaches, u64)>,
     workload: &Workload,
     prepared: &PreparedRun,
     topo: &Topology,
     policy: PolicyKind,
     scheme: Scheme,
-) -> Result<SimReport, BenchError> {
+    plan: Option<&FaultPlan>,
+) -> Result<SimRun, BenchError> {
     let generate = || generate_traces(&workload.program, &prepared.cfg, &prepared.layouts, topo);
-    let traces: Arc<Vec<ThreadTrace>> = match caches {
-        Some(c) => c.traces.traces_for_key(tkey, generate),
+    let traces: Arc<Vec<ThreadTrace>> = match memo {
+        Some((c, tkey)) => c.traces_for_key(tkey, generate),
         None => Arc::new(generate()),
     };
     let mut system = StorageSystem::new(topo.clone(), policy)?;
     if policy == PolicyKind::Karma {
-        match caches {
-            Some(c) => {
+        match memo {
+            Some((c, tkey)) => {
                 system
                     .set_karma_hints(&c.karma_hints_for(tkey, topo, || karma_hints(&traces, topo)));
             }
             None => system.set_karma_hints(&karma_hints(&traces, topo)),
         }
     }
+    let mut faults = plan.map(|p| FaultState::new(*p)).transpose()?;
     let _span = flo_obs::span("simulate");
-    if metrics::enabled() {
+    let run_cfg = &prepared.run_cfg;
+    let report = if metrics::enabled() {
         let mut obs = MetricsObserver::new();
-        let report = simulate_observed(&mut system, &traces, &prepared.run_cfg, &mut obs);
+        let report = match &mut faults {
+            Some(f) => simulate_faulted_observed(&mut system, &traces, run_cfg, &mut obs, f),
+            None => simulate_observed(&mut system, &traces, run_cfg, &mut obs),
+        };
         metrics::record_sim(SimRecord {
-            kind: "sim",
+            kind: if plan.is_some() { "sim-fault" } else { "sim" },
             app: workload.name.to_string(),
             scheme: scheme.name(),
             policy: policy.name(),
@@ -273,43 +280,62 @@ fn simulate_prepared(
             metrics: obs.to_json(),
             report: report.to_json(),
         });
-        Ok(report)
+        report
     } else {
-        Ok(simulate(&mut system, &traces, &prepared.run_cfg))
-    }
+        match &mut faults {
+            Some(f) => simulate_faulted(&mut system, &traces, run_cfg, f),
+            None => simulate(&mut system, &traces, run_cfg),
+        }
+    };
+    Ok((
+        report,
+        faults.map_or_else(FaultCounters::default, |f| *f.stats()),
+    ))
 }
 
-fn run_with(
+/// The one run path behind [`run_app`], [`run_app_cached`],
+/// [`run_app_faulted`] and [`run_app_faulted_cached`]: `caches` turns
+/// memoization on, `plan` fault injection.
+fn run(
     caches: Option<&RunCaches>,
     workload: &Workload,
     topo: &Topology,
     policy: PolicyKind,
     scheme: Scheme,
     overrides: &RunOverrides,
-) -> Result<RunOutcome, BenchError> {
+    plan: Option<&FaultPlan>,
+) -> Result<(RunOutcome, FaultCounters), BenchError> {
     let prepared = prepare_run(workload, topo, scheme, overrides)?;
-    let report = match caches {
+    let (report, counters) = match caches {
         Some(c) => {
             let tkey = trace_key(workload, &prepared.cfg, &prepared.layouts, topo);
-            let skey = sim_key(tkey, topo, policy, &prepared.run_cfg, None);
-            match c.sims.get(skey) {
+            let skey = sim_key(tkey, topo, policy, &prepared.run_cfg, plan);
+            match c.sim(skey) {
                 // A memoized simulation skips trace lookup entirely.
-                Some(r) => (*r).clone(),
+                Some(hit) => (*hit).clone(),
                 None => {
-                    let r =
-                        simulate_prepared(caches, tkey, workload, &prepared, topo, policy, scheme)?;
-                    c.sims.insert(skey, r.clone());
-                    r
+                    let run = simulate_prepared(
+                        Some((c, tkey)),
+                        workload,
+                        &prepared,
+                        topo,
+                        policy,
+                        scheme,
+                        plan,
+                    )?;
+                    c.insert_sim(skey, run.clone());
+                    run
                 }
             }
         }
-        None => simulate_prepared(None, 0, workload, &prepared, topo, policy, scheme)?,
+        None => simulate_prepared(None, workload, &prepared, topo, policy, scheme, plan)?,
     };
-    Ok(RunOutcome {
+    let outcome = RunOutcome {
         report,
         optimized_fraction: prepared.optimized_fraction,
         compile_ms: prepared.compile_ms,
-    })
+    };
+    Ok((outcome, counters))
 }
 
 /// Run `workload` on `topo` with `policy` under `scheme`.
@@ -320,7 +346,7 @@ pub fn run_app(
     scheme: Scheme,
     overrides: &RunOverrides,
 ) -> Result<RunOutcome, BenchError> {
-    run_with(None, workload, topo, policy, scheme, overrides)
+    run(None, workload, topo, policy, scheme, overrides, None).map(|(o, _)| o)
 }
 
 /// Run `workload` under `scheme` with fault injection from `plan`.
@@ -337,7 +363,7 @@ pub fn run_app_faulted(
     overrides: &RunOverrides,
     plan: &FaultPlan,
 ) -> Result<(RunOutcome, FaultCounters), BenchError> {
-    run_faulted_with(None, workload, topo, policy, scheme, overrides, plan)
+    run(None, workload, topo, policy, scheme, overrides, Some(plan))
 }
 
 /// [`run_app_faulted`] with full memoization. The fault plan (seed,
@@ -356,91 +382,15 @@ pub fn run_app_faulted_cached(
     overrides: &RunOverrides,
     plan: &FaultPlan,
 ) -> Result<(RunOutcome, FaultCounters), BenchError> {
-    run_faulted_with(
+    run(
         Some(caches),
         workload,
         topo,
         policy,
         scheme,
         overrides,
-        plan,
+        Some(plan),
     )
-}
-
-fn run_faulted_with(
-    caches: Option<&RunCaches>,
-    workload: &Workload,
-    topo: &Topology,
-    policy: PolicyKind,
-    scheme: Scheme,
-    overrides: &RunOverrides,
-    plan: &FaultPlan,
-) -> Result<(RunOutcome, FaultCounters), BenchError> {
-    let prepared = prepare_run(workload, topo, scheme, overrides)?;
-    let outcome = |report: SimReport| RunOutcome {
-        report,
-        optimized_fraction: prepared.optimized_fraction,
-        compile_ms: prepared.compile_ms,
-    };
-    let (tkey, fkey) = match caches {
-        Some(_) => {
-            let tkey = trace_key(workload, &prepared.cfg, &prepared.layouts, topo);
-            (
-                tkey,
-                sim_key(tkey, topo, policy, &prepared.run_cfg, Some(plan)),
-            )
-        }
-        None => (0, 0),
-    };
-    if let Some(c) = caches {
-        if let Some(hit) = c.faulted_get(fkey) {
-            return Ok((outcome(hit.0.clone()), hit.1));
-        }
-    }
-    let generate = || generate_traces(&workload.program, &prepared.cfg, &prepared.layouts, topo);
-    let traces: Arc<Vec<ThreadTrace>> = match caches {
-        Some(c) => c.traces.traces_for_key(tkey, generate),
-        None => Arc::new(generate()),
-    };
-    let mut system = StorageSystem::new(topo.clone(), policy)?;
-    if policy == PolicyKind::Karma {
-        match caches {
-            Some(c) => {
-                system
-                    .set_karma_hints(&c.karma_hints_for(tkey, topo, || karma_hints(&traces, topo)));
-            }
-            None => system.set_karma_hints(&karma_hints(&traces, topo)),
-        }
-    }
-    let mut faults = FaultState::new(*plan)?;
-    let report = if metrics::enabled() {
-        let mut obs = MetricsObserver::new();
-        let report = simulate_faulted_observed(
-            &mut system,
-            &traces,
-            &prepared.run_cfg,
-            &mut obs,
-            &mut faults,
-        );
-        metrics::record_sim(SimRecord {
-            kind: "sim-fault",
-            app: workload.name.to_string(),
-            scheme: scheme.name(),
-            policy: policy.name(),
-            io_cache_blocks: topo.io_cache_blocks,
-            storage_cache_blocks: topo.storage_cache_blocks,
-            metrics: obs.to_json(),
-            report: report.to_json(),
-        });
-        report
-    } else {
-        simulate_faulted(&mut system, &traces, &prepared.run_cfg, &mut faults)
-    };
-    let stats = *faults.stats();
-    if let Some(c) = caches {
-        c.faulted_insert(fkey, report.clone(), stats);
-    }
-    Ok((outcome(report), stats))
 }
 
 /// [`run_app`] with trace and simulation memoization: repeated
@@ -457,7 +407,16 @@ pub fn run_app_cached(
     scheme: Scheme,
     overrides: &RunOverrides,
 ) -> Result<RunOutcome, BenchError> {
-    run_with(Some(caches), workload, topo, policy, scheme, overrides)
+    run(
+        Some(caches),
+        workload,
+        topo,
+        policy,
+        scheme,
+        overrides,
+        None,
+    )
+    .map(|(o, _)| o)
 }
 
 /// Normalized execution time of `scheme` against the `Default` scheme on
@@ -535,7 +494,7 @@ pub fn sweep_outcomes(
         .collect();
     let mut reports: Vec<Option<SimReport>> = skeys
         .iter()
-        .map(|&k| caches.sims.get(k).map(|r| (*r).clone()))
+        .map(|&k| caches.sim(k).map(|r| r.0.clone()))
         .collect();
     if policy == PolicyKind::LruInclusive {
         // Group the unmemoized points by trace identity (the trace key
@@ -553,7 +512,7 @@ pub fn sweep_outcomes(
         }
         for (tkey, members) in groups {
             let (t0, p0) = &prepared[members[0]];
-            let traces = caches.traces.traces_for_key(tkey, || {
+            let traces = caches.traces_for_key(tkey, || {
                 generate_traces(&workload.program, &p0.cfg, &p0.layouts, t0)
             });
             let pts: Vec<SweepPoint> = members.iter().map(|&i| points[i]).collect();
@@ -598,7 +557,7 @@ pub fn sweep_outcomes(
                 simulate_sweep(base, &pts, &traces, &p0.run_cfg)?
             };
             for (&i, rep) in members.iter().zip(swept) {
-                caches.sims.insert(skeys[i], rep.clone());
+                caches.insert_sim(skeys[i], (rep.clone(), FaultCounters::default()));
                 reports[i] = Some(rep);
             }
         }
@@ -607,10 +566,17 @@ pub fn sweep_outcomes(
             if reports[i].is_none() {
                 let (t, pr) = &prepared[i];
                 let _span = flo_obs::span("sweep-point");
-                let rep =
-                    simulate_prepared(Some(caches), tkeys[i], workload, pr, t, policy, scheme)?;
-                caches.sims.insert(skeys[i], rep.clone());
-                reports[i] = Some(rep);
+                let run = simulate_prepared(
+                    Some((caches, tkeys[i])),
+                    workload,
+                    pr,
+                    t,
+                    policy,
+                    scheme,
+                    None,
+                )?;
+                reports[i] = Some(run.0.clone());
+                caches.insert_sim(skeys[i], run);
             }
         }
     }

@@ -329,14 +329,6 @@ fn render_health(out: &mut String, health: &Json) {
             q(h, "failovers"),
         ));
     }
-    if let Some(b) = health.get("budget") {
-        out.push_str(&format!(
-            "  retry budget: {} token(s) left, {} spent, {} denied\n",
-            q(b, "balance"),
-            q(b, "spent"),
-            q(b, "denied")
-        ));
-    }
 }
 
 fn main() {

@@ -64,8 +64,8 @@
 //! replays bit-identically. Through every phase each response must stay
 //! byte-identical to direct `Service::execute` and zero routed requests
 //! may surface a node-down error — the ring-successor failover, the
-//! read deadline, circuit breakers and the retry budget (DESIGN.md
-//! §2.12) must absorb the churn. Results land in `BENCH_chaos.json`;
+//! read deadline and the circuit breakers (DESIGN.md §2.12) must absorb
+//! the churn. Results land in `BENCH_chaos.json`;
 //! `--chaos-gate X` fails the run if mid-outage throughput drops below
 //! X× warm or post-rejoin throughput below 0.8× warm (CI chaos-smoke
 //! gates at 0.5).
@@ -118,7 +118,7 @@ fn parse_opts() -> Opts {
         cluster_gate: None,
         // Sized so one node's response-cache slice thrashes under the
         // ~5.7 MB cluster working set while the 4-node union holds it
-        // whole (per-node slice = budget/16, 4 shards; see
+        // whole (per-node slice = budget/16 = 3 MiB; see
         // `run_cluster_bench`).
         node_budget_mb: 48,
         telemetry_gate: None,

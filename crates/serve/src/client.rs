@@ -24,7 +24,7 @@ use crate::protocol::{
     read_frame, read_frame_bytes, response_id, work_key, write_frame, FrameError, Request,
     ServeError, TRACE_MASK,
 };
-use crate::resilience::{Breaker, Resilience, RetryBudget};
+use crate::resilience::{Breaker, Resilience};
 use crate::server::Listen;
 use flo_json::Json;
 use flo_obs::Hist;
@@ -418,11 +418,11 @@ enum Stop {
 /// ([`ClusterClient::call_many_raw`]) with three rules: redial a closed
 /// pooled connection once, fail over along the ring, and time out a
 /// silent owner. Per-node [`Breaker`]s stop a dead node from costing a
-/// connect probe per call; the client-wide [`RetryBudget`] bounds how
-/// much extra load failover may add; [`ServeError::NodeDown`] is only
-/// surfaced once the owner *and* every configured fallback are
-/// unreachable (or with `FLO_FALLBACKS=0`, which restores strict
-/// single-owner routing).
+/// connect probe per call, and the fallback count
+/// ([`Resilience::fallbacks`]) bounds how much extra load failover may
+/// add to each request; [`ServeError::NodeDown`] is only surfaced once
+/// the owner *and* every configured fallback are unreachable (or with
+/// `FLO_FALLBACKS=0`, which restores strict single-owner routing).
 pub struct ClusterClient {
     membership: Membership,
     ring: HashRing,
@@ -430,7 +430,6 @@ pub struct ClusterClient {
     next_trace: u64,
     resilience: Resilience,
     health: Vec<NodeHealth>,
-    budget: RetryBudget,
     /// Client-side latency (µs) of answered routed requests, per work
     /// kind, each timed from the send of its window — the read deadline
     /// derives from these p95s.
@@ -475,7 +474,6 @@ impl ClusterClient {
             // Offset from the per-connection streams so a cluster
             // client's ids do not collide with its own pooled clients'.
             next_trace: trace_base(jitter_seed ^ 0x5EED_C1A5_7E12),
-            budget: RetryBudget::new(RetryBudget::CLIENT_CAP),
             resilience,
             health,
             kind_lat: std::array::from_fn(|_| Hist::new()),
@@ -544,11 +542,6 @@ impl ClusterClient {
     /// Per-node health (breaker state, failover tally).
     pub fn node_health(&self, node: usize) -> &NodeHealth {
         &self.health[node]
-    }
-
-    /// The client-wide retry budget.
-    pub fn budget(&self) -> &RetryBudget {
-        &self.budget
     }
 
     /// Route one request: a batch of one through
@@ -625,8 +618,8 @@ impl ClusterClient {
     /// node's share in windows of `window` frames (see
     /// [`DEFAULT_WINDOW`]), and return results in *request* order. A
     /// node failing mid-batch has its unanswered requests re-routed
-    /// along their fallback chains (budget permitting); `NodeDown` only
-    /// surfaces once a request's whole chain is exhausted.
+    /// along their fallback chains; `NodeDown` only surfaces once a
+    /// request's whole chain is exhausted.
     pub fn call_many(
         &mut self,
         reqs: &[Request],
@@ -651,9 +644,9 @@ impl ClusterClient {
     /// redialed once. A connect failure, a connection that stays
     /// closed, or (once per-kind latency samples exist) a read that
     /// outlives the read deadline (8× worst per-kind p95) — the
-    /// black-holed node case — marks the node's breaker, costs one
-    /// retry-budget token, and re-queues the group's unanswered
-    /// requests at the next position of each one's own fallback chain.
+    /// black-holed node case — marks the node's breaker and re-queues
+    /// the group's unanswered requests at the next position of each
+    /// one's own fallback chain.
     /// Re-routing is assignment, not broadcast: each request lands on
     /// exactly one node per round, so no duplicate responses can ever
     /// be collected.
@@ -738,10 +731,7 @@ impl ClusterClient {
                     Some(Stop::Closed(e) | Stop::Down(e)) => {
                         // The connection is unusable; drop it, mark the
                         // breaker, and fail the unanswered share over to
-                        // each request's next chain entry. One budget
-                        // token covers the whole group's re-route — the
-                        // budget gates extra *connection* attempts, and
-                        // the re-route adds exactly one.
+                        // each request's next chain entry.
                         self.health[node].breaker.on_failure();
                         self.conns[node] = None;
                         let unanswered: Vec<(usize, usize)> = group
@@ -749,10 +739,9 @@ impl ClusterClient {
                             .filter(|&&(i, _)| out[i].is_none())
                             .copied()
                             .collect();
-                        let can_reroute = !unanswered.is_empty() && self.budget.try_spend();
                         for (i, pos) in unanswered {
                             let chain = chains[i].as_ref().expect("pending implies a chain");
-                            if can_reroute && pos != FORCED && pos + 1 < chain.len() {
+                            if pos != FORCED && pos + 1 < chain.len() {
                                 self.health[node].failovers += 1;
                                 pending.push((i, pos + 1));
                             } else {
@@ -821,7 +810,6 @@ impl ClusterClient {
                 if let Some(ki) = kind_index(batch.reqs[i].kind()) {
                     self.kind_lat[ki].record(sent_at.elapsed().as_micros() as u64);
                 }
-                self.budget.deposit();
                 out[i] = Some(Ok(bytes));
             }
             if read_timeout.is_some() {
@@ -896,8 +884,8 @@ impl ClusterClient {
     }
 
     /// The client-side view of cluster health as JSON: per-node circuit
-    /// state and counters, plus the shared retry-budget gauge. This is
-    /// what `flostat health` and the `flotop` health line render.
+    /// state and counters. This is what `flostat health` and the
+    /// `flotop` health line render.
     pub fn health_json(&self) -> Json {
         let mut nodes = Json::obj();
         for (node, h) in self.health.iter().enumerate() {
@@ -910,13 +898,7 @@ impl ClusterClient {
                     .set("failovers", h.failovers),
             );
         }
-        Json::obj().set("nodes", nodes).set(
-            "budget",
-            Json::obj()
-                .set("balance", self.budget.balance())
-                .set("spent", self.budget.spent)
-                .set("denied", self.budget.denied),
-        )
+        Json::obj().set("nodes", nodes)
     }
 }
 

@@ -33,8 +33,8 @@
 //!   cluster client's one routed path;
 //! * [`cluster`] — static membership + consistent-hash ring: N nodes,
 //!   each the single home of its work-key range (client-side routing);
-//! * [`resilience`] — per-node circuit breakers and the client-wide
-//!   retry budget that make node churn transparent;
+//! * [`resilience`] — per-node circuit breakers and the failover
+//!   settings that make node churn transparent;
 //! * [`signal`] — SIGTERM/SIGINT → drain flag, without libc.
 //!
 //! See README.md (quick start), DESIGN.md §2.9 (architecture and the
@@ -52,6 +52,6 @@ pub mod signal;
 pub use client::{Client, ClusterClient, NodeHealth};
 pub use cluster::{HashRing, Member, Membership};
 pub use protocol::{Request, ServeError, PROTOCOL_VERSION};
-pub use resilience::{Breaker, CircuitState, Resilience, RetryBudget};
+pub use resilience::{Breaker, CircuitState, Resilience};
 pub use server::{Listen, ServerConfig, ServerControl};
 pub use service::Service;

@@ -1,11 +1,11 @@
 //! Client-side resilience primitives: per-node circuit breakers and the
-//! client-wide retry budget.
+//! settings of the failover chain.
 //!
-//! These two pieces, wired into [`crate::client::ClusterClient`], are
-//! what makes node churn transparent to routed work. Because every work
-//! result is a deterministic pure function of the request (DESIGN.md
-//! §2.9), *any* node can compute *any* key — failover needs no data
-//! migration, only a decision about where to send the next attempt:
+//! Wired into [`crate::client::ClusterClient`], these make node churn
+//! transparent to routed work. Because every work result is a
+//! deterministic pure function of the request (DESIGN.md §2.9), *any*
+//! node can compute *any* key — failover needs no data migration, only a
+//! decision about where to send the next attempt:
 //!
 //! * the **breaker** ([`Breaker`]) is a per-node closed/open/half-open
 //!   state machine. While closed, traffic flows. Enough consecutive
@@ -14,12 +14,11 @@
 //!   After a seeded, jittered delay the breaker goes half-open and
 //!   admits **exactly one** probe; the probe's outcome closes it or
 //!   re-opens it with a doubled delay.
-//! * the **retry budget** ([`RetryBudget`]) is a token bucket shared by
-//!   the whole client. Each failover re-route spends a token; every
-//!   answered request deposits a fraction of one. When the bucket runs
-//!   dry the client stops amplifying load and fails fast, which is what
-//!   keeps a brown-out from turning into a retry storm. The balance is
-//!   unsigned by construction: it can never go negative.
+//! * the **fallback count** ([`Resilience::fallbacks`]) bounds how far
+//!   a request may fail over: it is sent to at most `1 + fallbacks`
+//!   positions of its chain, owner first, so whatever the error rate,
+//!   failover adds at most `fallbacks` attempts to any request (the one
+//!   redial of a closed pooled connection aside).
 //!
 //! The probe delays are seeded off `FLO_SEED` through a xorshift64*
 //! stream ([`probe_schedule`]), so a chaos run replays its probe
@@ -205,68 +204,6 @@ impl Breaker {
     }
 }
 
-/// The client-wide retry budget: a token bucket in milli-tokens so the
-/// per-success deposit can be a fraction of a token without floats.
-/// Each failover re-route spends one token; each answered request
-/// deposits [`RetryBudget::DEPOSIT_M`] milli-tokens. The bucket starts
-/// full so a cold client can still fail over, and the balance is a `u64`
-/// checked before every spend — it cannot go negative.
-#[derive(Debug)]
-pub struct RetryBudget {
-    balance_m: u64,
-    cap_m: u64,
-    /// Tokens spent (telemetry).
-    pub spent: u64,
-    /// Spends denied because the bucket ran dry (telemetry).
-    pub denied: u64,
-}
-
-impl RetryBudget {
-    /// Milli-tokens one extra attempt costs.
-    pub const COST_M: u64 = 1000;
-    /// Milli-tokens one answered request deposits (0.1 token — the
-    /// classic "retries may add at most ~10% load" ratio).
-    pub const DEPOSIT_M: u64 = 100;
-    /// The cap of every [`crate::client::ClusterClient`]'s budget, in
-    /// tokens.
-    pub const CLIENT_CAP: u64 = 64;
-
-    /// A full bucket capped at `cap_tokens` tokens. `0` disables extra
-    /// attempts entirely.
-    pub fn new(cap_tokens: u64) -> RetryBudget {
-        let cap_m = cap_tokens.saturating_mul(Self::COST_M);
-        RetryBudget {
-            balance_m: cap_m,
-            cap_m,
-            spent: 0,
-            denied: 0,
-        }
-    }
-
-    /// Deposit the per-success fraction, saturating at the cap.
-    pub fn deposit(&mut self) {
-        self.balance_m = (self.balance_m + Self::DEPOSIT_M).min(self.cap_m);
-    }
-
-    /// Try to spend one token. `false` (and no change) when the balance
-    /// is short — the caller must fail fast instead of retrying.
-    pub fn try_spend(&mut self) -> bool {
-        if self.balance_m >= Self::COST_M {
-            self.balance_m -= Self::COST_M;
-            self.spent += 1;
-            true
-        } else {
-            self.denied += 1;
-            false
-        }
-    }
-
-    /// Current balance in whole tokens (rounded down).
-    pub fn balance(&self) -> u64 {
-        self.balance_m / Self::COST_M
-    }
-}
-
 /// The knobs [`crate::client::ClusterClient`] reads, normally from the
 /// environment. README.md documents each variable.
 #[derive(Clone, Copy, Debug)]
@@ -386,51 +323,5 @@ mod tests {
             b.on_failure_at(now);
         }
         assert_eq!(waits_a, waits_b, "same seed replays the same schedule");
-    }
-
-    #[test]
-    fn budget_never_goes_negative_and_caps() {
-        let mut b = RetryBudget::new(2);
-        assert_eq!(b.balance(), 2, "starts full");
-        assert!(b.try_spend());
-        assert!(b.try_spend());
-        assert!(!b.try_spend(), "dry bucket denies");
-        assert_eq!(b.balance(), 0);
-        assert_eq!(b.denied, 1);
-        // 10 successes = 1 token.
-        for _ in 0..10 {
-            b.deposit();
-        }
-        assert_eq!(b.balance(), 1);
-        assert!(b.try_spend());
-        assert!(!b.try_spend());
-        // Deposits saturate at the cap.
-        for _ in 0..1000 {
-            b.deposit();
-        }
-        assert_eq!(b.balance(), 2);
-        // A pseudo-random hammer: the balance is unsigned and checked,
-        // so whatever order spends and deposits arrive in, it stays in
-        // [0, cap].
-        let mut s = 0x5EEDu64;
-        for _ in 0..10_000 {
-            s ^= s << 13;
-            s ^= s >> 7;
-            s ^= s << 17;
-            if s.is_multiple_of(3) {
-                b.deposit();
-            } else {
-                let _ = b.try_spend();
-            }
-            assert!(b.balance() <= 2);
-        }
-    }
-
-    #[test]
-    fn zero_budget_disables_extra_attempts() {
-        let mut b = RetryBudget::new(0);
-        assert!(!b.try_spend());
-        b.deposit();
-        assert!(!b.try_spend(), "deposits cannot exceed a zero cap");
     }
 }

@@ -21,15 +21,14 @@ use crate::protocol::{scale_name, target_name, FaultSpec, Request, ServeError};
 use flo_bench::experiments::figm;
 use flo_bench::harness::{prepare_run, sweep_outcomes, RunOverrides};
 use flo_bench::{
-    run_app_cached, run_app_faulted_cached, store_dir_from_env, topology_for, RunCaches, Scheme,
-    ShardedLru,
+    run_app_cached, run_app_faulted_cached, store_dir_from_env, topology_for, Lru, RunCaches,
+    Scheme,
 };
 use flo_core::TargetLayers;
 use flo_json::Json;
 use flo_sim::{FaultPlan, PolicyKind, SweepPoint};
 use flo_workloads::{by_name, Scale, Workload};
 use std::collections::HashMap;
-use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 
@@ -64,23 +63,19 @@ impl Flight {
 }
 
 /// The shared state behind every request: the run caches promoted from
-/// per-binary locals into service scope, plus a small cache of rendered
-/// layout responses (the layout pass has no entry in [`RunCaches`]; its
-/// JSON is tiny and rebuilding it is pure, so caching the rendered form
-/// is both safe and sufficient).
+/// per-binary locals into service scope, plus the serialized result of
+/// every work request (the layout pass has no entry in [`RunCaches`];
+/// its response bytes are its only memo).
 pub struct Service {
-    /// Trace / simulation / fault / hint memoization shared by all
-    /// requests.
+    /// Trace / simulation / hint memoization shared by all requests.
     pub caches: RunCaches,
-    /// Rendered `layout` results keyed by (app, scale, target).
-    layouts: ShardedLru<Json>,
     /// Serialized result bytes keyed by the whole request (its canonical
     /// rendering, compared in full on every hit): a warm hit skips JSON
     /// re-serialization entirely (the daemon splices these bytes
     /// straight into the response frame). Safe for exactly the reason
     /// the other caches are — execution is deterministic, so the bytes
     /// are a pure function of the request.
-    responses: ShardedLru<Vec<u8>, String>,
+    responses: Lru<Vec<u8>, String>,
     /// Latest measured store-replay point per (app, policy), rendered:
     /// the telemetry `store` panel `flotop` shows next to simulated
     /// predictions. A replaced entry keeps its slot, so the panel stays
@@ -99,20 +94,14 @@ pub struct Service {
 }
 
 impl Service {
-    /// A service whose caches hold roughly `budget_bytes` in total.
-    /// `0` disables retention entirely (every request recomputes — the
-    /// cold baseline of `servebench`).
+    /// A service whose caches hold roughly `budget_bytes` in total:
+    /// [`RunCaches::with_budget`] takes 15/16 of it and the response
+    /// bytes the last 1/16. `0` disables retention entirely (every
+    /// request recomputes — the cold baseline of `servebench`).
     pub fn with_budget(budget_bytes: usize) -> Service {
         Service {
             caches: RunCaches::with_budget(budget_bytes),
-            // Fixed slices of the budget, split over few shards: a
-            // rendered large-scale layout response runs to ~130 KB, and
-            // an entry larger than its *shard's* budget is never
-            // retained — 4 shards keep the per-shard budget above the
-            // biggest single response at much smaller total budgets
-            // than the default 16 shards would.
-            layouts: ShardedLru::bounded_with_shards(budget_bytes / 16, 4),
-            responses: ShardedLru::bounded_with_shards(budget_bytes / 16, 4),
+            responses: Lru::bounded(budget_bytes / 16),
             stores: Mutex::new(Vec::new()),
             inflight: Mutex::new(HashMap::new()),
             executions: AtomicU64::new(0),
@@ -266,21 +255,19 @@ impl Service {
         Json::obj()
             .set(
                 "cache_hits",
-                self.caches.total_hits() + self.layouts.hits() + self.responses.hits(),
+                self.caches.total_hits() + self.responses.hits(),
             )
             .set(
                 "cache_misses",
-                self.caches.total_misses() + self.layouts.misses() + self.responses.misses(),
+                self.caches.total_misses() + self.responses.misses(),
             )
             .set(
                 "cache_evictions",
-                self.caches.total_evictions()
-                    + self.layouts.evictions()
-                    + self.responses.evictions(),
+                self.caches.total_evictions() + self.responses.evictions(),
             )
             .set(
                 "cache_used_bytes",
-                self.caches.used_bytes() + self.layouts.used_bytes() + self.responses.used_bytes(),
+                self.caches.used_bytes() + self.responses.used_bytes(),
             )
             .set("singleflight_dedups", self.dedups())
     }
@@ -297,12 +284,6 @@ impl Service {
 
     fn layout(&self, app: &str, scale: Scale, target: TargetLayers) -> Result<Json, ServeError> {
         let workload = self.workload(app, scale)?;
-        let mut h = std::collections::hash_map::DefaultHasher::new();
-        (app, scale_name(scale), target_name(target)).hash(&mut h);
-        let key = h.finish();
-        if let Some(hit) = self.layouts.get(&key) {
-            return Ok((*hit).clone());
-        }
         let topo = topology_for(scale);
         let overrides = RunOverrides {
             mapping: None,
@@ -312,7 +293,7 @@ impl Service {
             .map_err(|e| ServeError::Internal(e.to_string()))?;
         // No `compile_ms` here: results must be reproducible bytes, and
         // wall-clock compile time is not (see the module docs).
-        let result = Json::obj()
+        Ok(Json::obj()
             .set("app", app)
             .set("scale", scale_name(scale))
             .set("target", target_name(target))
@@ -324,9 +305,7 @@ impl Service {
                     .iter()
                     .map(flo_core::FileLayout::to_json)
                     .collect::<Vec<Json>>(),
-            );
-        let cost = result.to_string().len();
-        Ok((*self.layouts.insert(key, Arc::new(result), cost)).clone())
+            ))
     }
 
     fn simulate(
@@ -462,6 +441,7 @@ impl Service {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::hash::{Hash, Hasher};
 
     fn req_simulate(app: &str) -> Request {
         Request::Simulate {
@@ -527,21 +507,75 @@ mod tests {
     #[test]
     fn execute_bytes_matches_reserialization_and_memoizes() {
         let svc = Service::with_budget(64 << 20);
-        let req = req_simulate("qio");
-        let cold = svc.execute_bytes(&req).unwrap();
-        assert_eq!(
-            cold.as_slice(),
-            svc.execute(&req).unwrap().to_string().as_bytes(),
-            "cached bytes must equal the re-serialized path"
-        );
-        let before = svc.responses.hits();
-        let warm = svc.execute_bytes(&req).unwrap();
-        assert!(Arc::ptr_eq(&cold, &warm), "warm hit skips serialization");
-        assert_eq!(svc.responses.hits(), before + 1);
+        let layout = Request::Layout {
+            app: "qio".into(),
+            scale: Scale::Small,
+            target: TargetLayers::Both,
+        };
+        for req in [req_simulate("qio"), layout] {
+            let cold = svc.execute_bytes(&req).unwrap();
+            assert_eq!(
+                cold.as_slice(),
+                svc.execute(&req).unwrap().to_string().as_bytes(),
+                "cached bytes must equal the re-serialized path"
+            );
+            let (before, executions) = (svc.responses.hits(), svc.executions());
+            let warm = svc.execute_bytes(&req).unwrap();
+            assert!(Arc::ptr_eq(&cold, &warm), "warm hit skips serialization");
+            assert_eq!(svc.responses.hits(), before + 1);
+            assert_eq!(svc.executions(), executions, "{} ran again", req.kind());
+        }
         // Control requests are never cached: stats is dynamic.
         let s1 = svc.execute_bytes(&Request::Stats).unwrap();
         let s2 = svc.execute_bytes(&Request::Stats).unwrap();
         assert!(!Arc::ptr_eq(&s1, &s2));
+    }
+
+    #[test]
+    fn cache_budget_bounds_every_table_together() {
+        let budget = 1 << 20;
+        let svc = Service::with_budget(budget);
+        let stat = |k| svc.stats().get(k).and_then(Json::as_u64).unwrap();
+        for w in flo_workloads::all(Scale::Small) {
+            for scheme in [Scheme::Default, Scheme::Inter] {
+                let reqs = [
+                    Request::Layout {
+                        app: w.name.into(),
+                        scale: Scale::Small,
+                        target: TargetLayers::Both,
+                    },
+                    Request::Simulate {
+                        app: w.name.into(),
+                        scale: Scale::Small,
+                        scheme,
+                        policy: PolicyKind::Karma,
+                        fault: None,
+                    },
+                    Request::Simulate {
+                        app: w.name.into(),
+                        scale: Scale::Small,
+                        scheme,
+                        policy: PolicyKind::LruInclusive,
+                        fault: Some(FaultSpec {
+                            seed: 7,
+                            intensity: 1.0,
+                        }),
+                    },
+                ];
+                for req in &reqs {
+                    svc.execute_bytes(req).unwrap();
+                    let used = stat("cache_used_bytes");
+                    assert!(
+                        used <= budget as u64,
+                        "{used} bytes resident against a budget of {budget}"
+                    );
+                }
+            }
+        }
+        assert!(
+            stat("cache_evictions") > 0,
+            "the suite never filled a {budget}-byte service"
+        );
     }
 
     #[test]

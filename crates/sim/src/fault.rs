@@ -14,8 +14,9 @@
 //! under question) through an xorshift64* finalizer. Two runs of the same
 //! traces under the same plan are bit-identical; the same plan replayed at
 //! every point of a capacity sweep sees the *same* fault schedule, which is
-//! what keeps `SimCache`/`RunCaches` memoization and the sweep engine's
-//! per-point fallback sound. No host randomness, clocks, or I/O are ever
+//! what keeps `flo_bench::RunCaches`' simulation memoization (healthy and
+//! faulted runs in one table, the plan folded into the key) and the sweep
+//! engine's per-point fallback sound. No host randomness, clocks, or I/O are ever
 //! consulted.
 //!
 //! **Zero cost when inactive.** The simulator's access walk is generic
