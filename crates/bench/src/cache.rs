@@ -8,8 +8,8 @@
 //! and share thereafter. The `flo-serve` daemon holds one [`RunCaches`]
 //! for its whole life, so each table is an [`Lru`]: one mutex and one
 //! byte budget, past which least-recently-used entries are evicted.
-//! Experiments keep every entry via [`RunCaches::new`] (an effectively
-//! unlimited budget).
+//! Every process has a budget: an experiment's [`RunCaches::new`] gets
+//! the [`DEFAULT_CACHE_MB`] a default `flod` gets.
 //!
 //! Correctness under eviction is free: every cached computation is
 //! deterministic, so an evicted entry recomputes bit-identically.
@@ -111,11 +111,6 @@ impl<V, K: Hash + Eq + Clone> Lru<V, K> {
             misses: AtomicU64::new(0),
             evictions: AtomicU64::new(0),
         }
-    }
-
-    /// An effectively unbounded cache (the experiment-process behavior).
-    pub fn unbounded() -> Lru<V, K> {
-        Lru::bounded(usize::MAX)
     }
 
     /// The locked table. Values are built outside the lock, so only a
@@ -323,15 +318,16 @@ impl Default for RunCaches {
     }
 }
 
+/// The memo budget of a process that sets none: `flod` without
+/// `FLO_CACHE_MB`, and every experiment binary. Most trace sets an
+/// experiment makes are simulated once, so holding every one until exit
+/// buys nothing.
+pub const DEFAULT_CACHE_MB: usize = 256;
+
 impl RunCaches {
-    /// Effectively unbounded caches (the experiment-process default: a
-    /// one-shot binary's working set is bounded by its figure).
+    /// Caches bounded by the default budget, [`DEFAULT_CACHE_MB`].
     pub fn new() -> RunCaches {
-        RunCaches {
-            traces: Lru::unbounded(),
-            sims: Lru::unbounded(),
-            hints: Lru::unbounded(),
-        }
+        RunCaches::with_budget(DEFAULT_CACHE_MB << 20)
     }
 
     /// Caches bounded by `budget_bytes`, split by expected weight: traces

@@ -33,7 +33,11 @@ pub fn sweep_points(base: &flo_sim::Topology) -> Vec<SweepPoint> {
 /// sweep engine ([`normalized_exec_sweep`]): per application, the five
 /// `Default` baselines cost one trace pass instead of five, and the
 /// `Inter` side batches whichever points its layout pass maps to the same
-/// layouts.
+/// layouts. Within a row the `Default` sweep runs beside the `Inter`
+/// side's five layout passes and then its groups, which run side by side
+/// too; the suite fans out over the applications on top, so two rows run
+/// at once on two workers. `FLO_THREADS=1` makes it all sequential, with
+/// the same table.
 pub fn run(scale: Scale) -> Result<Table, BenchError> {
     run_with_policy(scale, PolicyKind::LruInclusive)
 }

@@ -232,13 +232,43 @@ pub fn prepare_run(
     })
 }
 
-/// The single `simulate` call site of the harness: generates (or fetches
-/// memoized) traces, builds the system — with memoized KARMA hints when
-/// `memo` supplies the caches and the run's trace key — and runs it,
-/// under `plan` when one is given. Returns the report and the fault
-/// counters the plan's schedule produced (all zero for a healthy run).
+/// A run's traces and, under KARMA, their hints.
+struct RunInputs {
+    traces: Arc<Vec<ThreadTrace>>,
+    hints: Option<Arc<KarmaHints>>,
+}
+
+impl RunInputs {
+    /// The inputs of `prepared` at `topo`: through `memo`'s tables when
+    /// it supplies the caches and the run's trace key, built afresh
+    /// otherwise.
+    fn fetch(
+        memo: Option<(&RunCaches, u64)>,
+        workload: &Workload,
+        prepared: &PreparedRun,
+        topo: &Topology,
+        policy: PolicyKind,
+    ) -> RunInputs {
+        let generate =
+            || generate_traces(&workload.program, &prepared.cfg, &prepared.layouts, topo);
+        let traces = match memo {
+            Some((c, tkey)) => c.traces_for_key(tkey, generate),
+            None => Arc::new(generate()),
+        };
+        let hints = (policy == PolicyKind::Karma).then(|| match memo {
+            Some((c, tkey)) => c.karma_hints_for(tkey, topo, || karma_hints(&traces, topo)),
+            None => Arc::new(karma_hints(&traces, topo)),
+        });
+        RunInputs { traces, hints }
+    }
+}
+
+/// The single `simulate` call site of the harness: builds the system
+/// over `inputs` and runs it, under `plan` when one is given. Returns
+/// the report and the fault counters the plan's schedule produced (all
+/// zero for a healthy run).
 fn simulate_prepared(
-    memo: Option<(&RunCaches, u64)>,
+    inputs: &RunInputs,
     workload: &Workload,
     prepared: &PreparedRun,
     topo: &Topology,
@@ -246,29 +276,19 @@ fn simulate_prepared(
     scheme: Scheme,
     plan: Option<&FaultPlan>,
 ) -> Result<SimRun, BenchError> {
-    let generate = || generate_traces(&workload.program, &prepared.cfg, &prepared.layouts, topo);
-    let traces: Arc<Vec<ThreadTrace>> = match memo {
-        Some((c, tkey)) => c.traces_for_key(tkey, generate),
-        None => Arc::new(generate()),
-    };
     let mut system = StorageSystem::new(topo.clone(), policy)?;
-    if policy == PolicyKind::Karma {
-        match memo {
-            Some((c, tkey)) => {
-                system
-                    .set_karma_hints(&c.karma_hints_for(tkey, topo, || karma_hints(&traces, topo)));
-            }
-            None => system.set_karma_hints(&karma_hints(&traces, topo)),
-        }
+    if let Some(hints) = &inputs.hints {
+        system.set_karma_hints(hints);
     }
+    let traces = &inputs.traces;
     let mut faults = plan.map(|p| FaultState::new(*p)).transpose()?;
     let _span = flo_obs::span("simulate");
     let run_cfg = &prepared.run_cfg;
     let report = if metrics::enabled() {
         let mut obs = MetricsObserver::new();
         let report = match &mut faults {
-            Some(f) => simulate_faulted_observed(&mut system, &traces, run_cfg, &mut obs, f),
-            None => simulate_observed(&mut system, &traces, run_cfg, &mut obs),
+            Some(f) => simulate_faulted_observed(&mut system, traces, run_cfg, &mut obs, f),
+            None => simulate_observed(&mut system, traces, run_cfg, &mut obs),
         };
         metrics::record_sim(SimRecord {
             kind: if plan.is_some() { "sim-fault" } else { "sim" },
@@ -283,8 +303,8 @@ fn simulate_prepared(
         report
     } else {
         match &mut faults {
-            Some(f) => simulate_faulted(&mut system, &traces, run_cfg, f),
-            None => simulate(&mut system, &traces, run_cfg),
+            Some(f) => simulate_faulted(&mut system, traces, run_cfg, f),
+            None => simulate(&mut system, traces, run_cfg),
         }
     };
     Ok((
@@ -306,29 +326,31 @@ fn run(
     plan: Option<&FaultPlan>,
 ) -> Result<(RunOutcome, FaultCounters), BenchError> {
     let prepared = prepare_run(workload, topo, scheme, overrides)?;
-    let (report, counters) = match caches {
-        Some(c) => {
-            let tkey = trace_key(workload, &prepared.cfg, &prepared.layouts, topo);
-            let skey = sim_key(tkey, topo, policy, &prepared.run_cfg, plan);
-            match c.sim(skey) {
-                // A memoized simulation skips trace lookup entirely.
-                Some(hit) => (*hit).clone(),
-                None => {
-                    let run = simulate_prepared(
-                        Some((c, tkey)),
-                        workload,
-                        &prepared,
-                        topo,
-                        policy,
-                        scheme,
-                        plan,
-                    )?;
-                    c.insert_sim(skey, run.clone());
-                    run
-                }
+    let memo = caches.map(|c| {
+        let tkey = trace_key(workload, &prepared.cfg, &prepared.layouts, topo);
+        (
+            c,
+            tkey,
+            sim_key(tkey, topo, policy, &prepared.run_cfg, plan),
+        )
+    });
+    // A memoized simulation skips trace lookup entirely.
+    let (report, counters) = match memo.and_then(|(c, _, skey)| c.sim(skey)) {
+        Some(hit) => (*hit).clone(),
+        None => {
+            let inputs = RunInputs::fetch(
+                memo.map(|(c, tkey, _)| (c, tkey)),
+                workload,
+                &prepared,
+                topo,
+                policy,
+            );
+            let run = simulate_prepared(&inputs, workload, &prepared, topo, policy, scheme, plan)?;
+            if let Some((c, _, skey)) = memo {
+                c.insert_sim(skey, run.clone());
             }
+            run
         }
-        None => simulate_prepared(None, workload, &prepared, topo, policy, scheme, plan)?,
     };
     let outcome = RunOutcome {
         report,
@@ -455,13 +477,181 @@ pub fn normalized_exec_cached(
     Ok(opt.exec_ms() / base.exec_ms())
 }
 
+/// One capacity point of a sweep side, prepared: its topology, the
+/// scheme's run at it, and the trace and simulation keys they give.
+struct PreparedPoint {
+    topo: Topology,
+    run: PreparedRun,
+    tkey: u64,
+    skey: u64,
+}
+
+/// Prepare `scheme` at every point of a sweep over `base`. Preparation
+/// stays per point, since the Inter layout pass legitimately depends on
+/// the capacities it optimizes for; the points are independent, so
+/// their passes run side by side.
+fn prepare_points(
+    workload: &Workload,
+    base: &Topology,
+    points: &[SweepPoint],
+    policy: PolicyKind,
+    scheme: Scheme,
+    overrides: &RunOverrides,
+) -> Result<Vec<PreparedPoint>, BenchError> {
+    flo_parallel::parallel_map(points, |p| {
+        let mut topo = base.clone();
+        topo.io_cache_blocks = p.io_cache_blocks;
+        topo.storage_cache_blocks = p.storage_cache_blocks;
+        let run = prepare_run(workload, &topo, scheme, overrides)?;
+        let tkey = trace_key(workload, &run.cfg, &run.layouts, &topo);
+        let skey = sim_key(tkey, &topo, policy, &run.run_cfg, None);
+        Ok(PreparedPoint {
+            topo,
+            run,
+            tkey,
+            skey,
+        })
+    })
+    .into_iter()
+    .collect()
+}
+
+/// Simulate the points of `side` that `members` names, which share one
+/// trace key, and memoize each point's report. The trace set (and,
+/// under KARMA, its hints) is fetched once. Under inclusive LRU the
+/// group is one [`simulate_sweep`] pass; under any other policy its
+/// points are simulated one by one, side by side.
+fn simulate_group(
+    caches: &RunCaches,
+    workload: &Workload,
+    base: &Topology,
+    policy: PolicyKind,
+    scheme: Scheme,
+    side: &[PreparedPoint],
+    members: &[usize],
+) -> Result<Vec<SimReport>, BenchError> {
+    let first = &side[members[0]];
+    let inputs = RunInputs::fetch(
+        Some((caches, first.tkey)),
+        workload,
+        &first.run,
+        &first.topo,
+        policy,
+    );
+    if policy != PolicyKind::LruInclusive {
+        return flo_parallel::parallel_map(members, |&i| {
+            let pt = &side[i];
+            let _span = flo_obs::span("sweep-point");
+            let run =
+                simulate_prepared(&inputs, workload, &pt.run, &pt.topo, policy, scheme, None)?;
+            caches.insert_sim(pt.skey, run.clone());
+            Ok(run.0)
+        })
+        .into_iter()
+        .collect();
+    }
+    let pts: Vec<SweepPoint> = members
+        .iter()
+        .map(|&i| SweepPoint::of(&side[i].topo))
+        .collect();
+    let traces = &inputs.traces;
+    let run_cfg = &first.run.run_cfg;
+    let _span = flo_obs::span("sweep");
+    let swept = if metrics::enabled() {
+        // One observer per capacity point, plus a stream observer
+        // catching the shared stack-distance classification.
+        let mut stream = MetricsObserver::new();
+        let mut per_point = vec![MetricsObserver::new(); pts.len()];
+        let swept =
+            simulate_sweep_observed(base, &pts, traces, run_cfg, &mut stream, &mut per_point)?;
+        for ((p, rep), obs) in pts.iter().zip(&swept).zip(per_point) {
+            metrics::record_sim(SimRecord {
+                kind: "sim",
+                app: workload.name.to_string(),
+                scheme: scheme.name(),
+                policy: policy.name(),
+                io_cache_blocks: p.io_cache_blocks,
+                storage_cache_blocks: p.storage_cache_blocks,
+                metrics: obs.to_json(),
+                report: rep.to_json(),
+            });
+        }
+        metrics::record_sim(SimRecord {
+            kind: "sweep-stream",
+            app: workload.name.to_string(),
+            scheme: scheme.name(),
+            policy: policy.name(),
+            io_cache_blocks: base.io_cache_blocks,
+            storage_cache_blocks: base.storage_cache_blocks,
+            metrics: stream.to_json(),
+            report: Json::Null,
+        });
+        swept
+    } else {
+        simulate_sweep(base, &pts, traces, run_cfg)?
+    };
+    for (&i, rep) in members.iter().zip(&swept) {
+        caches.insert_sim(side[i].skey, (rep.clone(), FaultCounters::default()));
+    }
+    Ok(swept)
+}
+
+/// Simulate every point of a prepared sweep side that the memo has not
+/// seen. Those points are grouped by trace identity (the trace key
+/// covers the parallelization and the layouts, everything but the
+/// capacities), in point order within each group, and the groups run
+/// side by side. Given `default`, the Default side of the same sweep, a
+/// point whose simulation key equals the Default's at that point is
+/// left out and reads `None`: the caller takes the Default's report.
+fn simulate_side(
+    caches: &RunCaches,
+    workload: &Workload,
+    base: &Topology,
+    policy: PolicyKind,
+    scheme: Scheme,
+    side: &[PreparedPoint],
+    default: Option<&[PreparedPoint]>,
+) -> Result<Vec<Option<SimReport>>, BenchError> {
+    let shares_default = |i: usize| default.is_some_and(|d| d[i].skey == side[i].skey);
+    let mut reports: Vec<Option<SimReport>> = (0..side.len())
+        .map(|i| {
+            if shares_default(i) {
+                None
+            } else {
+                caches.sim(side[i].skey).map(|r| r.0.clone())
+            }
+        })
+        .collect();
+    let mut groups: Vec<(u64, Vec<usize>)> = Vec::new();
+    for (i, pt) in side.iter().enumerate() {
+        if reports[i].is_some() || shares_default(i) {
+            continue;
+        }
+        match groups.iter_mut().find(|(k, _)| *k == pt.tkey) {
+            Some((_, members)) => members.push(i),
+            None => groups.push((pt.tkey, vec![i])),
+        }
+    }
+    let swept = flo_parallel::parallel_map(&groups, |(_, members)| {
+        simulate_group(caches, workload, base, policy, scheme, side, members)
+    });
+    for ((_, members), reps) in groups.iter().zip(swept) {
+        for (&i, rep) in members.iter().zip(reps?) {
+            reports[i] = Some(rep);
+        }
+    }
+    Ok(reports)
+}
+
 /// Outcomes of `scheme` at every capacity point of a sweep over `base`,
-/// batched: under inclusive LRU, points that share their traces (always
-/// all of them for capacity-independent layouts; whichever subsets the
-/// layout pass happens to map to one layout otherwise) are evaluated in
-/// a single trace pass by [`simulate_sweep`] — bit-identical to the
-/// per-point path. Non-LRU policies and already-memoized points take the
-/// per-config path, all through the same [`RunCaches`].
+/// batched and fanned out. The points' preparations (one layout pass
+/// each under `Inter`) run side by side. The points no memo entry
+/// answers are then grouped by trace identity, and the groups run side
+/// by side. Under inclusive LRU a group is one [`simulate_sweep`] pass,
+/// bit-identical to the per-point path; under any other policy its
+/// points are simulated one by one, side by side, over one trace set.
+/// Everything goes through the same [`RunCaches`]. `flod`'s `sweep`
+/// work kind calls this.
 pub fn sweep_outcomes(
     caches: &RunCaches,
     workload: &Workload,
@@ -471,129 +661,29 @@ pub fn sweep_outcomes(
     scheme: Scheme,
     overrides: &RunOverrides,
 ) -> Result<Vec<RunOutcome>, BenchError> {
-    // Preparation stays per point: the Inter layout pass legitimately
-    // depends on the capacities it optimizes for.
-    let prepared: Vec<(Topology, PreparedRun)> = points
-        .iter()
-        .map(|p| {
-            let mut topo = base.clone();
-            topo.io_cache_blocks = p.io_cache_blocks;
-            topo.storage_cache_blocks = p.storage_cache_blocks;
-            let pr = prepare_run(workload, &topo, scheme, overrides)?;
-            Ok((topo, pr))
-        })
-        .collect::<Result<_, BenchError>>()?;
-    let tkeys: Vec<u64> = prepared
-        .iter()
-        .map(|(t, pr)| trace_key(workload, &pr.cfg, &pr.layouts, t))
-        .collect();
-    let skeys: Vec<u64> = prepared
-        .iter()
-        .zip(&tkeys)
-        .map(|((t, pr), &tk)| sim_key(tk, t, policy, &pr.run_cfg, None))
-        .collect();
-    let mut reports: Vec<Option<SimReport>> = skeys
-        .iter()
-        .map(|&k| caches.sim(k).map(|r| r.0.clone()))
-        .collect();
-    if policy == PolicyKind::LruInclusive {
-        // Group the unmemoized points by trace identity (the trace key
-        // covers the parallelization and the layouts — everything but
-        // the capacities), preserving point order within each group.
-        let mut groups: Vec<(u64, Vec<usize>)> = Vec::new();
-        for i in 0..points.len() {
-            if reports[i].is_some() {
-                continue;
-            }
-            match groups.iter_mut().find(|(k, _)| *k == tkeys[i]) {
-                Some((_, members)) => members.push(i),
-                None => groups.push((tkeys[i], vec![i])),
-            }
-        }
-        for (tkey, members) in groups {
-            let (t0, p0) = &prepared[members[0]];
-            let traces = caches.traces_for_key(tkey, || {
-                generate_traces(&workload.program, &p0.cfg, &p0.layouts, t0)
-            });
-            let pts: Vec<SweepPoint> = members.iter().map(|&i| points[i]).collect();
-            let _span = flo_obs::span("sweep");
-            let swept = if metrics::enabled() {
-                // One observer per capacity point, plus a stream observer
-                // catching the shared stack-distance classification.
-                let mut stream = MetricsObserver::new();
-                let mut per_point = vec![MetricsObserver::new(); pts.len()];
-                let swept = simulate_sweep_observed(
-                    base,
-                    &pts,
-                    &traces,
-                    &p0.run_cfg,
-                    &mut stream,
-                    &mut per_point,
-                )?;
-                for ((&i, rep), obs) in members.iter().zip(&swept).zip(per_point) {
-                    metrics::record_sim(SimRecord {
-                        kind: "sim",
-                        app: workload.name.to_string(),
-                        scheme: scheme.name(),
-                        policy: policy.name(),
-                        io_cache_blocks: points[i].io_cache_blocks,
-                        storage_cache_blocks: points[i].storage_cache_blocks,
-                        metrics: obs.to_json(),
-                        report: rep.to_json(),
-                    });
-                }
-                metrics::record_sim(SimRecord {
-                    kind: "sweep-stream",
-                    app: workload.name.to_string(),
-                    scheme: scheme.name(),
-                    policy: policy.name(),
-                    io_cache_blocks: base.io_cache_blocks,
-                    storage_cache_blocks: base.storage_cache_blocks,
-                    metrics: stream.to_json(),
-                    report: Json::Null,
-                });
-                swept
-            } else {
-                simulate_sweep(base, &pts, &traces, &p0.run_cfg)?
-            };
-            for (&i, rep) in members.iter().zip(swept) {
-                caches.insert_sim(skeys[i], (rep.clone(), FaultCounters::default()));
-                reports[i] = Some(rep);
-            }
-        }
-    } else {
-        for i in 0..points.len() {
-            if reports[i].is_none() {
-                let (t, pr) = &prepared[i];
-                let _span = flo_obs::span("sweep-point");
-                let run = simulate_prepared(
-                    Some((caches, tkeys[i])),
-                    workload,
-                    pr,
-                    t,
-                    policy,
-                    scheme,
-                    None,
-                )?;
-                reports[i] = Some(run.0.clone());
-                caches.insert_sim(skeys[i], run);
-            }
-        }
-    }
-    Ok(prepared
+    let side = prepare_points(workload, base, points, policy, scheme, overrides)?;
+    let reports = simulate_side(caches, workload, base, policy, scheme, &side, None)?;
+    Ok(side
         .into_iter()
         .zip(reports)
-        .map(|((_, pr), rep)| RunOutcome {
+        .map(|(pt, rep)| RunOutcome {
             report: rep.expect("every sweep point simulated or memoized"),
-            optimized_fraction: pr.optimized_fraction,
-            compile_ms: pr.compile_ms,
+            optimized_fraction: pt.run.optimized_fraction,
+            compile_ms: pt.run.compile_ms,
         })
         .collect())
 }
 
 /// Normalized execution time of `scheme` against the `Default` scheme at
-/// every capacity point — [`normalized_exec_cached`] over a whole sweep,
-/// with both sides batched through [`sweep_outcomes`].
+/// every capacity point: [`normalized_exec_cached`] over a whole sweep,
+/// each side batched and fanned out as in [`sweep_outcomes`], and the
+/// two sides run side by side. The Default side needs no layout pass,
+/// so its sweep starts at once, while the scheme side runs its passes
+/// and then its groups. A scheme point whose simulation key equals the
+/// Default's at that point (its layouts are the default ones) is not
+/// simulated: it takes the Default's report after the join, the report
+/// a memo hit would have given it. With one worker (`FLO_THREADS=1`)
+/// everything runs in sequence; the ratios are the same either way.
 pub fn normalized_exec_sweep(
     caches: &RunCaches,
     workload: &Workload,
@@ -603,20 +693,29 @@ pub fn normalized_exec_sweep(
     scheme: Scheme,
     overrides: &RunOverrides,
 ) -> Result<Vec<f64>, BenchError> {
-    let bases = sweep_outcomes(
-        caches,
-        workload,
-        base,
-        points,
-        policy,
-        Scheme::Default,
-        overrides,
-    )?;
-    let opts = sweep_outcomes(caches, workload, base, points, policy, scheme, overrides)?;
+    let default = prepare_points(workload, base, points, policy, Scheme::Default, overrides)?;
+    let simulate = |scheme, side: &[PreparedPoint], default| {
+        simulate_side(caches, workload, base, policy, scheme, side, default)
+    };
+    let mut sides = flo_parallel::parallel_map_indexed(2, |lane| {
+        if lane == 0 {
+            return simulate(Scheme::Default, &default, None);
+        }
+        let side = prepare_points(workload, base, points, policy, scheme, overrides)?;
+        simulate(scheme, &side, Some(&default))
+    })
+    .into_iter();
+    let bases = sides.next().expect("the Default side")?;
+    let opts = sides.next().expect("the scheme side")?;
     Ok(bases
         .iter()
         .zip(&opts)
-        .map(|(b, o)| o.exec_ms() / b.exec_ms())
+        .map(|(b, o)| {
+            let b = b
+                .as_ref()
+                .expect("every Default point simulated or memoized");
+            o.as_ref().unwrap_or(b).execution_time_ms / b.execution_time_ms
+        })
         .collect())
 }
 

@@ -32,7 +32,7 @@ pub mod harness;
 pub mod metrics;
 pub mod tablefmt;
 
-pub use cache::{Lru, RunCaches};
+pub use cache::{Lru, RunCaches, DEFAULT_CACHE_MB};
 pub use error::{exit_on_error, BenchError};
 pub use harness::{
     run_app, run_app_cached, run_app_faulted, run_app_faulted_cached, RunOutcome, Scheme,

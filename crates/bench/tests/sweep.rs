@@ -1,8 +1,8 @@
-//! Differential test of the one-pass sweep engine at the harness level:
-//! for every workload in the suite, both schemes, and every fig7c
-//! capacity point, the batched sweep path must reproduce the per-config
-//! path's [`SimReport`] bit for bit — counters equal, floats equal down
-//! to the last ULP.
+//! Differential test of the harness's sweep path: for every workload in
+//! the suite, both schemes, three policies and every fig7c capacity
+//! point, the batched, fanned-out sweep path must reproduce the
+//! per-config path's [`SimReport`] bit for bit — counters equal, floats
+//! equal down to the last ULP.
 
 use flo_bench::experiments::fig7c;
 use flo_bench::harness::{normalized_exec_sweep, run_app, sweep_outcomes, RunOverrides, Scheme};
@@ -53,34 +53,24 @@ fn assert_reports_identical(sweep: &SimReport, direct: &SimReport, tag: &str) {
     }
 }
 
-/// The whole suite × both schemes × every fig7c capacity point:
-/// sweep-engine outcomes equal uncached per-config outcomes exactly.
-#[test]
-fn sweep_outcomes_match_per_config_runs() {
+/// The whole suite × both schemes × every fig7c capacity point under
+/// `policy`: sweep outcomes equal uncached per-config outcomes exactly.
+fn sweep_matches_per_config_runs(policy: PolicyKind) {
     let base = topology_for(Scale::Small);
     let points = fig7c::sweep_points(&base);
     let overrides = RunOverrides::default();
     let caches = RunCaches::new();
     for w in flo_workloads::all(Scale::Small) {
         for scheme in [Scheme::Default, Scheme::Inter] {
-            let swept = sweep_outcomes(
-                &caches,
-                &w,
-                &base,
-                &points,
-                PolicyKind::LruInclusive,
-                scheme,
-                &overrides,
-            )
-            .unwrap();
+            let swept =
+                sweep_outcomes(&caches, &w, &base, &points, policy, scheme, &overrides).unwrap();
             assert_eq!(swept.len(), points.len());
             for (i, p) in points.iter().enumerate() {
                 let mut topo = base.clone();
                 topo.io_cache_blocks = p.io_cache_blocks;
                 topo.storage_cache_blocks = p.storage_cache_blocks;
-                let direct =
-                    run_app(&w, &topo, PolicyKind::LruInclusive, scheme, &overrides).unwrap();
-                let tag = format!("{} {} point {i}", w.name, scheme.name());
+                let direct = run_app(&w, &topo, policy, scheme, &overrides).unwrap();
+                let tag = format!("{} {} {} point {i}", w.name, scheme.name(), policy.name());
                 assert_reports_identical(&swept[i].report, &direct.report, &tag);
                 assert_eq!(
                     swept[i].optimized_fraction.to_bits(),
@@ -91,6 +81,60 @@ fn sweep_outcomes_match_per_config_runs() {
                 // comparable across runs, only sane.
                 assert!(swept[i].compile_ms >= 0.0, "{tag}");
             }
+        }
+    }
+}
+
+/// Inclusive LRU: each trace-key group is one one-pass sweep.
+#[test]
+fn sweep_outcomes_match_per_config_runs() {
+    sweep_matches_per_config_runs(PolicyKind::LruInclusive);
+}
+
+/// KARMA: each group's points are simulated one by one, side by side,
+/// over one trace set and one hint set.
+#[test]
+fn sweep_outcomes_match_per_config_runs_under_karma() {
+    sweep_matches_per_config_runs(PolicyKind::Karma);
+}
+
+/// DEMOTE-LRU: the per-point branch without hints.
+#[test]
+fn sweep_outcomes_match_per_config_runs_under_demote_lru() {
+    sweep_matches_per_config_runs(PolicyKind::DemoteLru);
+}
+
+/// The Default scheme against itself: every ratio is exactly 1, and the
+/// scheme side takes the Default side's reports instead of simulating.
+/// On a fresh `RunCaches` each point is looked up once and simulated
+/// once, the one trace set is generated once, and under KARMA its hints
+/// are built once; nothing is looked up twice, so nothing hits.
+#[test]
+fn default_against_itself_simulates_each_point_once() {
+    let base = topology_for(Scale::Small);
+    let points = fig7c::sweep_points(&base);
+    for policy in [PolicyKind::LruInclusive, PolicyKind::Karma] {
+        for app in ["qio", "swim", "cc-ver-1"] {
+            let w = flo_workloads::by_name(app, Scale::Small).unwrap();
+            let caches = RunCaches::new();
+            let norms = normalized_exec_sweep(
+                &caches,
+                &w,
+                &base,
+                &points,
+                policy,
+                Scheme::Default,
+                &RunOverrides::default(),
+            )
+            .unwrap();
+            let tag = format!("{app} {}", policy.name());
+            assert!(norms.iter().all(|&n| n == 1.0), "{tag}: {norms:?}");
+            let hint_sets = u64::from(policy == PolicyKind::Karma);
+            assert_eq!(
+                (caches.total_hits(), caches.total_misses()),
+                (0, points.len() as u64 + 1 + hint_sets),
+                "{tag}: (hits, misses)"
+            );
         }
     }
 }

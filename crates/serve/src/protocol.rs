@@ -31,11 +31,18 @@
 //! across every hop. It is deliberately **not** part of [`work_key`]: two
 //! requests for the same work share a cache entry and a routing owner no
 //! matter whose trace asked.
+//!
+//! Request values are bounded by what a node can hold. A `sweep` may
+//! ask for at most [`MAX_SWEEP_CACHE_BYTES`] (256 MiB) of simulated
+//! cache arrays at once, priced by [`StorageSystem::cache_bytes`] at the
+//! request's scale ([`check_sweep`]); a larger sweep is a `bad-request`,
+//! answered before anything is allocated.
 
-use flo_bench::Scheme;
+use flo_bench::{topology_for, Scheme};
 use flo_core::TargetLayers;
 use flo_json::Json;
-use flo_sim::{PolicyKind, SweepPoint};
+use flo_sim::stackdist::MAX_SWEEP_POINTS;
+use flo_sim::{PolicyKind, StorageSystem, SweepPoint};
 use flo_workloads::Scale;
 use std::fmt;
 use std::io::{self, Read, Write};
@@ -56,6 +63,48 @@ pub const MAX_FRAME_BYTES: usize = 64 << 20;
 /// with this; 53 random bits keep collisions vanishingly unlikely for
 /// any realistic request volume.
 pub const TRACE_MASK: u64 = (1 << 53) - 1;
+
+/// Most bytes of simulated cache arrays one `sweep` may make a node
+/// allocate at once. 256 MiB is over 300 times what fig7c's full-scale
+/// sweep needs (720 KiB under LRU, its five points up to 4× capacity),
+/// and small enough that the few trace groups a node simulates side by
+/// side fit in a small host's memory. It is a protocol constant, not
+/// the node's `FLO_CACHE_MB` (which budgets memo tables, and those never
+/// hold cache arrays), so every node accepts the same requests.
+pub const MAX_SWEEP_CACHE_BYTES: u64 = 256 << 20;
+
+/// Reject a sweep whose cache arrays, at `scale`'s topology and under
+/// `policy`, could take more than [`MAX_SWEEP_CACHE_BYTES`] at once. A
+/// node simulates at most [`MAX_SWEEP_POINTS`] points over one trace
+/// set together (the one-pass engine's width; past it, and on the
+/// per-point paths, it holds one point per worker), so a sweep is
+/// priced as its largest point times `min(points, MAX_SWEEP_POINTS)`.
+pub fn check_sweep(
+    scale: Scale,
+    policy: PolicyKind,
+    points: &[SweepPoint],
+) -> Result<(), ServeError> {
+    let base = topology_for(scale);
+    let largest = points
+        .iter()
+        .map(|p| {
+            let mut topo = base.clone();
+            topo.io_cache_blocks = p.io_cache_blocks;
+            topo.storage_cache_blocks = p.storage_cache_blocks;
+            StorageSystem::cache_bytes(&topo, policy)
+        })
+        .max()
+        .unwrap_or(0);
+    let together = points.len().min(MAX_SWEEP_POINTS) as u64;
+    let bytes = largest.saturating_mul(together);
+    if bytes > MAX_SWEEP_CACHE_BYTES {
+        return Err(ServeError::BadRequest(format!(
+            "sweep points need {bytes} bytes of cache arrays at once, \
+             over the {MAX_SWEEP_CACHE_BYTES}-byte bound"
+        )));
+    }
+    Ok(())
+}
 
 /// Typed service errors — every failure a request can produce on the
 /// wire. The daemon never panics on peer input; it answers with one of
@@ -550,11 +599,14 @@ pub fn parse_envelope(j: &Json) -> Result<Envelope, ServeError> {
                     }
                 }
             }
+            let app = need_str(j, "app")?.to_string();
+            let (scale, scheme, policy) = (scale()?, scheme()?, policy()?);
+            check_sweep(scale, policy, &points)?;
             Request::Sweep {
-                app: need_str(j, "app")?.to_string(),
-                scale: scale()?,
-                scheme: scheme()?,
-                policy: policy()?,
+                app,
+                scale,
+                scheme,
+                policy,
                 points,
             }
         }
@@ -878,6 +930,76 @@ mod tests {
             parse_envelope(&bad_points),
             Err(ServeError::BadRequest(_))
         ));
+    }
+
+    /// A `qio` sweep envelope at `scale` under `policy`.
+    fn sweep_envelope(scale: &str, policy: &str, points: &[[u64; 2]]) -> Json {
+        Json::obj()
+            .set("v", PROTOCOL_VERSION)
+            .set("id", 1u64)
+            .set("kind", "sweep")
+            .set("app", "qio")
+            .set("scale", scale)
+            .set("policy", policy)
+            .set(
+                "points",
+                points
+                    .iter()
+                    .map(|p| Json::Arr(p.iter().map(|&c| Json::from(c)).collect()))
+                    .collect::<Vec<Json>>(),
+            )
+    }
+
+    #[test]
+    fn sweep_capacities_are_bounded_by_what_a_node_can_hold() {
+        // A 2^52-block I/O cache is wire-valid, but its arrays would
+        // take 2^52 × 12 bytes per I/O node: the allocation failure
+        // aborts the process, where no unwind can catch it.
+        for policy in ["lru", "karma", "demote", "mq"] {
+            let probe = sweep_envelope("small", policy, &[[1 << 52, 1]]);
+            match parse_envelope(&probe) {
+                Err(ServeError::BadRequest(m)) => assert!(m.contains("bound"), "{m}"),
+                other => panic!("{policy}: wanted bad-request, got {other:?}"),
+            }
+        }
+        let max = (1u64 << 53) - 1;
+        let largest = sweep_envelope("full", "lru", &[[max, max]]);
+        assert!(matches!(
+            parse_envelope(&largest),
+            Err(ServeError::BadRequest(_))
+        ));
+        // A sweep is priced as its largest point times the points one
+        // pass holds together: a 96 MiB point fits alone, 64 of them in
+        // one pass do not.
+        let point = [1 << 20, 1 << 20];
+        let one = sweep_envelope("small", "lru", &[point]);
+        assert!(parse_envelope(&one).is_ok());
+        let many = sweep_envelope("small", "lru", &[point; 64]);
+        assert!(matches!(
+            parse_envelope(&many),
+            Err(ServeError::BadRequest(_))
+        ));
+        // Points are not summed past what is held at once: 512 small
+        // points (385 MiB in all, 1.5 MiB the largest) pass.
+        let long: Vec<[u64; 2]> = (1..=512).map(|i| [24 * i, 48 * i]).collect();
+        assert!(parse_envelope(&sweep_envelope("small", "lru", &long)).is_ok());
+        // Every point the experiments sweep passes, up to fig7c's 4×
+        // full-scale point, under every policy.
+        for scale in [Scale::Small, Scale::Full] {
+            let points: Vec<[u64; 2]> =
+                flo_bench::experiments::fig7c::sweep_points(&topology_for(scale))
+                    .iter()
+                    .map(|p| [p.io_cache_blocks as u64, p.storage_cache_blocks as u64])
+                    .collect();
+            for policy in ["lru", "karma", "demote", "mq"] {
+                let env = sweep_envelope(scale_name(scale), policy, &points);
+                assert!(
+                    parse_envelope(&env).is_ok(),
+                    "{policy} {}",
+                    scale_name(scale)
+                );
+            }
+        }
     }
 
     #[test]

@@ -22,7 +22,7 @@ use flo_bench::experiments::figm;
 use flo_bench::harness::{prepare_run, sweep_outcomes, RunOverrides};
 use flo_bench::{
     run_app_cached, run_app_faulted_cached, store_dir_from_env, topology_for, Lru, RunCaches,
-    Scheme,
+    Scheme, DEFAULT_CACHE_MB,
 };
 use flo_core::TargetLayers;
 use flo_json::Json;
@@ -31,9 +31,6 @@ use flo_workloads::{by_name, Scale, Workload};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
-
-/// Default service cache budget when `FLO_CACHE_MB` is unset.
-pub const DEFAULT_CACHE_MB: usize = 256;
 
 /// One in-flight computation of a work key: the leader thread computes
 /// and publishes the result; followers block on the condvar and clone
@@ -405,6 +402,7 @@ impl Service {
         policy: PolicyKind,
         points: &[SweepPoint],
     ) -> Result<Json, ServeError> {
+        crate::protocol::check_sweep(scale, policy, points)?;
         let workload = self.workload(app, scale)?;
         let topo = topology_for(scale);
         let outs = sweep_outcomes(
@@ -460,6 +458,34 @@ mod tests {
             Err(ServeError::BadRequest(m)) => assert!(m.contains("no-such-app"), "{m}"),
             other => panic!("wanted bad-request, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn oversized_sweep_is_a_bad_request_not_an_abort() {
+        // A 2^52-block I/O cache is 2^52 × 12 bytes per I/O node:
+        // building it would abort the test binary, not fail the test.
+        let svc = Service::with_budget(1 << 20);
+        for policy in [PolicyKind::LruInclusive, PolicyKind::Karma] {
+            let probe = Request::Sweep {
+                app: "qio".into(),
+                scale: Scale::Small,
+                scheme: Scheme::Default,
+                policy,
+                points: vec![SweepPoint {
+                    io_cache_blocks: 1 << 52,
+                    storage_cache_blocks: 1,
+                }],
+            };
+            match svc.execute(&probe) {
+                Err(ServeError::BadRequest(m)) => assert!(m.contains("bound"), "{m}"),
+                other => panic!("{}: wanted bad-request, got {other:?}", policy.name()),
+            }
+            assert!(matches!(
+                svc.execute_bytes(&probe),
+                Err(ServeError::BadRequest(_))
+            ));
+        }
+        assert_eq!(svc.caches.total_misses(), 0, "nothing was computed");
     }
 
     #[test]

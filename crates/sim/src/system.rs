@@ -67,6 +67,27 @@ pub struct StorageSystem {
 }
 
 impl StorageSystem {
+    /// Upper estimate of the bytes the caches of a system at `topo` under
+    /// `policy` allocate when it is built: 16 per cache block (a
+    /// `SetAssocCache` slot's 8-byte index and 4-byte file, and a share
+    /// of its set's length), plus, under MQ, 768 per storage-cache block
+    /// for the eight queues each storage cache sizes to its full
+    /// capacity. Saturates instead of overflowing, so a caller can bound
+    /// any capacity before building anything.
+    pub fn cache_bytes(topo: &Topology, policy: PolicyKind) -> u64 {
+        let blocks = |nodes: usize, capacity: usize| (nodes as u64).saturating_mul(capacity as u64);
+        let io = blocks(topo.io_nodes, topo.io_cache_blocks);
+        let storage = blocks(topo.storage_nodes, topo.storage_cache_blocks);
+        let mq = if policy == PolicyKind::MqSecondLevel {
+            storage.saturating_mul(768)
+        } else {
+            0
+        };
+        io.saturating_add(storage)
+            .saturating_mul(16)
+            .saturating_add(mq)
+    }
+
     /// Build a system for `topo` under `policy`, with hop and disk costs
     /// derived from the topology's block size. Fails with
     /// [`SimError::InvalidTopology`] on a degenerate topology.
