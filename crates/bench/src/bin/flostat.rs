@@ -18,7 +18,7 @@
 
 use flo_bench::flostat::{
     diff_layers, diff_phases, fault_table, health_table, layer_table, load, phase_table,
-    serve_table, store_table, trace_table, Artifact,
+    serve_table, trace_table, Artifact,
 };
 use std::process::ExitCode;
 
@@ -29,9 +29,6 @@ fn read_artifact(path: &str) -> Result<Artifact, String> {
 
 fn usage() -> ExitCode {
     eprintln!("usage: flostat show <metrics.jsonl>");
-    eprintln!(
-        "       flostat store <metrics.jsonl>     (measured vs simulated, sim−measured deltas)"
-    );
     eprintln!("       flostat diff <a.jsonl> <b.jsonl>");
     eprintln!("       flostat health <snapshot.json>   (saved `floq telemetry --cluster` output)");
     ExitCode::from(2)
@@ -56,23 +53,8 @@ fn main() -> ExitCode {
                     println!();
                     print!("{}", trace_table(&art, 10));
                 }
-                if !art.stores.is_empty() {
-                    println!();
-                    print!("{}", store_table(&art));
-                }
                 println!();
                 print!("{}", phase_table(&art));
-                Ok(())
-            }
-            ["store", path] => {
-                let art = read_artifact(path)?;
-                if art.stores.is_empty() {
-                    println!(
-                        "{path}: no store-replay events (run figm or flostore with FLO_METRICS=jsonl)"
-                    );
-                } else {
-                    print!("{}", store_table(&art));
-                }
                 Ok(())
             }
             ["diff", a, b] => {

@@ -11,7 +11,6 @@ pub mod fig7e;
 pub mod fig7f;
 pub mod fig7g;
 pub mod fig7h;
-pub mod figm;
 pub mod figr;
 pub mod optstats;
 pub mod table1;

@@ -10,7 +10,7 @@
 use crate::tablefmt::Table;
 use flo_json::Json;
 use flo_obs::sink::parse_jsonl;
-use flo_obs::{FaultCounters, StoreCounters};
+use flo_obs::FaultCounters;
 use std::collections::BTreeMap;
 
 /// Identity of one simulated configuration inside an artifact. The
@@ -70,53 +70,6 @@ impl SimEntry {
     /// Sequential fraction of disk reads in [0, 1].
     pub fn disk_sequential_fraction(&self) -> f64 {
         Self::ratio(self.disk)
-    }
-}
-
-/// One `store-replay` event: a real-bytes replay's measured per-layer
-/// behavior (from the replay's observer) next to the simulated
-/// prediction (from the run's report) for the same configuration.
-#[derive(Clone, Debug)]
-pub struct StoreEntry {
-    /// Configuration identity.
-    pub key: SimKey,
-    /// Policy name.
-    pub policy: String,
-    /// Measured I/O-layer (element-weighted) accesses and hits.
-    pub meas_io: (u64, u64),
-    /// Measured storage-layer accesses and hits.
-    pub meas_storage: (u64, u64),
-    /// Simulated I/O-layer accesses and hits.
-    pub sim_io: (u64, u64),
-    /// Simulated storage-layer accesses and hits.
-    pub sim_storage: (u64, u64),
-    /// Real preads issued.
-    pub meas_disk: u64,
-    /// Simulated disk reads.
-    pub sim_disk: u64,
-    /// The run's store counters (writebacks, dirty high-water, bytes).
-    pub store: StoreCounters,
-}
-
-impl StoreEntry {
-    /// Measured I/O-layer hit ratio in [0, 1].
-    pub fn meas_io_ratio(&self) -> f64 {
-        SimEntry::ratio(self.meas_io)
-    }
-
-    /// Measured storage-layer hit ratio.
-    pub fn meas_storage_ratio(&self) -> f64 {
-        SimEntry::ratio(self.meas_storage)
-    }
-
-    /// Simulated I/O-layer hit ratio.
-    pub fn sim_io_ratio(&self) -> f64 {
-        SimEntry::ratio(self.sim_io)
-    }
-
-    /// Simulated storage-layer hit ratio.
-    pub fn sim_storage_ratio(&self) -> f64 {
-        SimEntry::ratio(self.sim_storage)
     }
 }
 
@@ -224,9 +177,6 @@ pub struct Artifact {
     /// Trace-stamped serve-request events, in artifact order — the raw
     /// material for [`trace_table`]'s slowest-requests breakdown.
     pub traces: Vec<TraceEntry>,
-    /// Real-bytes replay events (measured vs simulated); empty unless
-    /// the run drove a `flo-store` store.
-    pub stores: Vec<StoreEntry>,
 }
 
 /// Decode a `faults` object back into counters. Absent objects (healthy
@@ -247,43 +197,6 @@ fn fault_counters(j: Option<&Json>) -> FaultCounters {
         cache_flushes: u("cache_flushes"),
         flushed_blocks: u("flushed_blocks"),
     }
-}
-
-/// Decode a `store` object back into counters; absent fields are zero.
-fn store_counters(j: Option<&Json>) -> StoreCounters {
-    let Some(j) = j else {
-        return StoreCounters::default();
-    };
-    let u = |k: &str| j.get(k).and_then(Json::as_f64).unwrap_or(0.0) as u64;
-    let f = |k: &str| j.get(k).and_then(Json::as_f64).unwrap_or(0.0);
-    StoreCounters {
-        blocks_materialized: u("blocks_materialized"),
-        bytes_written: u("bytes_written"),
-        bytes_read: u("bytes_read"),
-        evictions: u("evictions"),
-        writebacks: u("writebacks"),
-        dirty_high_water: u("dirty_high_water"),
-        retries: u("retries"),
-        retry_ms: f("retry_ms"),
-        replay_wall_ms: f("replay_wall_ms"),
-    }
-}
-
-/// Sum one layer's element-weighted (accesses, hits) across the
-/// per-node counters of a `metrics` payload.
-fn weighted_layer(metrics: &Json, layer: &str) -> (u64, u64) {
-    let Some(nodes) = metrics.get(layer).and_then(Json::as_arr) else {
-        return (0, 0);
-    };
-    let mut acc = (0u64, 0u64);
-    for n in nodes {
-        acc.0 += n
-            .get("weighted_accesses")
-            .and_then(Json::as_f64)
-            .unwrap_or(0.0) as u64;
-        acc.1 += n.get("weighted_hits").and_then(Json::as_f64).unwrap_or(0.0) as u64;
-    }
-    acc
 }
 
 fn field_u64(e: &Json, key: &str) -> Result<u64, String> {
@@ -309,7 +222,6 @@ pub fn load(text: &str) -> Result<Artifact, String> {
     let mut phases: BTreeMap<String, PhaseAgg> = BTreeMap::new();
     let mut serves: BTreeMap<(String, String, String), ServeAgg> = BTreeMap::new();
     let mut traces: Vec<TraceEntry> = Vec::new();
-    let mut stores: Vec<StoreEntry> = Vec::new();
     for e in &events[1..] {
         match e.get("event").and_then(Json::as_str) {
             Some("sim") | Some("sim-fault") => {
@@ -340,68 +252,6 @@ pub fn load(text: &str) -> Result<Artifact, String> {
                         .and_then(Json::as_f64)
                         .ok_or("report lacks `execution_time_ms`")?,
                     faults: fault_counters(e.get("metrics").and_then(|m| m.get("faults"))),
-                });
-            }
-            Some("store-replay") => {
-                let metrics = e
-                    .get("metrics")
-                    .ok_or("store-replay event lacks `metrics`")?;
-                let report = e.get("report").ok_or("store-replay event lacks `report`")?;
-                let sim_layer = |name: &str| -> Result<(u64, u64), String> {
-                    let l = report
-                        .get("layers")
-                        .and_then(|ls| ls.get(name))
-                        .ok_or_else(|| format!("report lacks layer `{name}`"))?;
-                    Ok((field_u64(l, "accesses")?, field_u64(l, "hits")?))
-                };
-                // Measured layer stats come from the event's `measured`
-                // object — the report-convention numbers the agreement
-                // gate compares — with the per-node observer counters as
-                // a fallback; the two accountings differ under KARMA
-                // (bypass lookups), and only the former lines up with
-                // the simulated report's `CacheStats`.
-                let meas_layer = |name: &str| -> (u64, u64) {
-                    match metrics.get("measured").and_then(|m| m.get(name)) {
-                        Some(l) => (
-                            l.get("accesses").and_then(Json::as_f64).unwrap_or(0.0) as u64,
-                            l.get("hits").and_then(Json::as_f64).unwrap_or(0.0) as u64,
-                        ),
-                        None => weighted_layer(metrics, name),
-                    }
-                };
-                let meas_disk = metrics
-                    .get("measured")
-                    .and_then(|m| m.get("disk_reads"))
-                    .and_then(Json::as_f64)
-                    .map(|v| v as u64)
-                    .unwrap_or_else(|| {
-                        metrics
-                            .get("disks")
-                            .and_then(Json::as_arr)
-                            .map(|ds| {
-                                ds.iter()
-                                    .map(|d| {
-                                        d.get("reads").and_then(Json::as_f64).unwrap_or(0.0) as u64
-                                    })
-                                    .sum()
-                            })
-                            .unwrap_or(0)
-                    });
-                stores.push(StoreEntry {
-                    key: SimKey {
-                        app: field_str(e, "app")?,
-                        scheme: field_str(e, "scheme")?,
-                        io_cache_blocks: field_u64(e, "io_cache_blocks")?,
-                        storage_cache_blocks: field_u64(e, "storage_cache_blocks")?,
-                    },
-                    policy: field_str(e, "policy")?,
-                    meas_io: meas_layer("io"),
-                    meas_storage: meas_layer("storage"),
-                    sim_io: sim_layer("io")?,
-                    sim_storage: sim_layer("storage")?,
-                    meas_disk,
-                    sim_disk: field_u64(report, "disk_reads")?,
-                    store: store_counters(metrics.get("store")),
                 });
             }
             Some("span") => {
@@ -485,7 +335,6 @@ pub fn load(text: &str) -> Result<Artifact, String> {
         phases,
         serves,
         traces,
-        stores,
     })
 }
 
@@ -661,57 +510,6 @@ pub fn trace_table(a: &Artifact, limit: usize) -> Table {
             "showing the {limit} slowest of {} traced requests",
             a.traces.len()
         ));
-    }
-    t
-}
-
-/// Measured-vs-simulated table of one artifact's real-bytes replays:
-/// per configuration, the measured hit ratios and disk reads next to
-/// the simulated prediction, with `sim − measured` delta columns, plus
-/// the store's write-back counters. Empty unless the run drove a
-/// `flo-store` store (`figm`, `flostore replay`).
-pub fn store_table(a: &Artifact) -> Table {
-    let mut t = Table::new(
-        &format!("{} — measured vs simulated (real-bytes store)", a.run),
-        &[
-            "application",
-            "scheme",
-            "policy",
-            "io% meas",
-            "io% sim",
-            "Δio pp",
-            "st% meas",
-            "st% sim",
-            "Δst pp",
-            "preads",
-            "disk sim",
-            "writebacks",
-            "dirty hw",
-            "MiB read",
-            "wall ms",
-        ],
-    );
-    for s in &a.stores {
-        t.row(vec![
-            s.key.app.clone(),
-            s.key.scheme.clone(),
-            s.policy.clone(),
-            pct(s.meas_io_ratio()),
-            pct(s.sim_io_ratio()),
-            delta_pp(s.meas_io_ratio(), s.sim_io_ratio()),
-            pct(s.meas_storage_ratio()),
-            pct(s.sim_storage_ratio()),
-            delta_pp(s.meas_storage_ratio(), s.sim_storage_ratio()),
-            s.meas_disk.to_string(),
-            s.sim_disk.to_string(),
-            s.store.writebacks.to_string(),
-            s.store.dirty_high_water.to_string(),
-            format!("{:.2}", s.store.bytes_read as f64 / (1024.0 * 1024.0)),
-            format!("{:.1}", s.store.replay_wall_ms),
-        ]);
-    }
-    if !a.stores.is_empty() {
-        t.note("Δ columns are sim − measured in percentage points; a fault-free replay lands at exactly +0.0");
     }
     t
 }
@@ -1100,139 +898,6 @@ mod tests {
         let serve = format!("{}", serve_table(&art));
         assert!(serve.contains("mean parse ms"), "{serve}");
         assert!(serve.contains("mean flush ms"), "{serve}");
-    }
-
-    #[test]
-    fn loads_store_replay_events_and_renders_deltas() {
-        let mut sink = JsonlSink::new("figm");
-        let node = |wa: u64, wh: u64| {
-            Json::obj()
-                .set("node", 0u64)
-                .set("accesses", wa)
-                .set("hits", wh)
-                .set("weighted_accesses", wa)
-                .set("weighted_hits", wh)
-                .set("evictions", 1u64)
-        };
-        sink.push(
-            "store-replay",
-            Json::obj()
-                .set("app", "qio")
-                .set("scheme", "inter")
-                .set("policy", "LRU")
-                .set("io_cache_blocks", 24u64)
-                .set("storage_cache_blocks", 48u64)
-                .set(
-                    "metrics",
-                    Json::obj()
-                        // Per-node observer counters deliberately skewed
-                        // from the `measured` object below: the loader
-                        // must prefer the report-convention numbers.
-                        .set("io", vec![node(200, 120)])
-                        .set("storage", vec![node(50, 15)])
-                        .set(
-                            "disks",
-                            vec![Json::obj().set("node", 0u64).set("reads", 29u64)],
-                        )
-                        .set(
-                            "measured",
-                            Json::obj()
-                                .set(
-                                    "io",
-                                    Json::obj().set("accesses", 200u64).set("hits", 150u64),
-                                )
-                                .set(
-                                    "storage",
-                                    Json::obj().set("accesses", 50u64).set("hits", 20u64),
-                                )
-                                .set("disk_reads", 30u64),
-                        )
-                        .set(
-                            "store",
-                            Json::obj()
-                                .set("blocks_materialized", 100u64)
-                                .set("bytes_read", 2097152u64)
-                                .set("writebacks", 7u64)
-                                .set("dirty_high_water", 5u64)
-                                .set("replay_wall_ms", 3.5),
-                        ),
-                )
-                .set(
-                    "report",
-                    Json::obj()
-                        .set(
-                            "layers",
-                            Json::obj()
-                                .set(
-                                    "io",
-                                    Json::obj().set("accesses", 200u64).set("hits", 150u64),
-                                )
-                                .set(
-                                    "storage",
-                                    Json::obj().set("accesses", 50u64).set("hits", 22u64),
-                                ),
-                        )
-                        .set("disk_reads", 30u64)
-                        .set("disk_sequential_reads", 10u64)
-                        .set("execution_time_ms", 9.0),
-                ),
-        );
-        // An event without the `measured` object (older artifacts) falls
-        // back to summing the per-node observer counters.
-        sink.push(
-            "store-replay",
-            Json::obj()
-                .set("app", "swim")
-                .set("scheme", "inter")
-                .set("policy", "LRU")
-                .set("io_cache_blocks", 24u64)
-                .set("storage_cache_blocks", 48u64)
-                .set(
-                    "metrics",
-                    Json::obj().set("io", vec![node(10, 4)]).set(
-                        "disks",
-                        vec![Json::obj().set("node", 0u64).set("reads", 6u64)],
-                    ),
-                )
-                .set(
-                    "report",
-                    Json::obj()
-                        .set(
-                            "layers",
-                            Json::obj()
-                                .set("io", Json::obj().set("accesses", 10u64).set("hits", 4u64))
-                                .set(
-                                    "storage",
-                                    Json::obj().set("accesses", 6u64).set("hits", 0u64),
-                                ),
-                        )
-                        .set("disk_reads", 6u64)
-                        .set("disk_sequential_reads", 2u64)
-                        .set("execution_time_ms", 1.0),
-                ),
-        );
-        let art = load(&sink.render()).unwrap();
-        assert_eq!(art.stores.len(), 2);
-        let s = &art.stores[0];
-        assert!(
-            (s.meas_io_ratio() - 0.75).abs() < 1e-12,
-            "prefers `measured`"
-        );
-        assert!((s.sim_io_ratio() - 0.75).abs() < 1e-12);
-        assert_eq!(s.meas_disk, 30);
-        let fallback = &art.stores[1];
-        assert!((fallback.meas_io_ratio() - 0.4).abs() < 1e-12, "fallback");
-        assert_eq!(fallback.meas_disk, 6);
-        assert_eq!(s.store.writebacks, 7);
-        let rendered = format!("{}", store_table(&art));
-        assert!(rendered.contains("+0.0"), "io layers agree: {rendered}");
-        // Storage sim has 2 extra hits: 44% vs measured 40% → +4.0pp.
-        assert!(rendered.contains("+4.0"), "{rendered}");
-        assert!(rendered.contains("2.00"), "MiB read: {rendered}");
-        // Artifacts without store events render an empty table.
-        let healthy = load(&artifact("fig7c", "LRU", 80, 4.0)).unwrap();
-        assert!(healthy.stores.is_empty());
-        assert_eq!(store_table(&healthy).rows.len(), 0);
     }
 
     #[test]

@@ -134,45 +134,6 @@ pub fn fault_seed_from_env() -> Result<u64, BenchError> {
     }
 }
 
-/// Base directory for materialized `flo-store` stores, from
-/// `FLO_STORE_DIR` (default `target/store`).
-pub fn store_dir_from_env() -> std::path::PathBuf {
-    match std::env::var("FLO_STORE_DIR") {
-        Ok(s) if !s.trim().is_empty() => std::path::PathBuf::from(s),
-        _ => std::path::PathBuf::from("target/store"),
-    }
-}
-
-/// Materializer block-cache capacity from `FLO_STORE_CACHE_MB`
-/// (megabytes of buffered blocks). `None` when unset or malformed
-/// (warned), leaving the materializer at its default; a parsed value is
-/// converted to whole blocks of `block_bytes` and floored at 8 so the
-/// cache always functions.
-pub fn store_cache_blocks_from_env(block_bytes: u32) -> Option<usize> {
-    let s = std::env::var("FLO_STORE_CACHE_MB").ok()?;
-    match s.trim().parse::<u64>() {
-        Ok(mb) => {
-            let blocks = (mb * 1024 * 1024) / u64::from(block_bytes.max(1));
-            Some((blocks as usize).max(8))
-        }
-        Err(_) => {
-            eprintln!("warning: FLO_STORE_CACHE_MB={s:?} is not an integer, using default");
-            None
-        }
-    }
-}
-
-/// Whether the materializer runs write-back (default) or write-through,
-/// from `FLO_STORE_WRITEBACK` (`0`/`false`/`off` disable it; both modes
-/// produce byte-identical stripes, this only changes the flush
-/// discipline exercised).
-pub fn store_writeback_from_env() -> bool {
-    !matches!(
-        std::env::var("FLO_STORE_WRITEBACK").as_deref(),
-        Ok("0") | Ok("false") | Ok("off") | Ok("no")
-    )
-}
-
 /// The simulated cluster for a given scale: the paper topology for full
 /// runs, a proportionally shrunken one (8 compute / 4 I/O / 2 storage) for
 /// small runs.

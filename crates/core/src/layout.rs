@@ -166,9 +166,7 @@ impl FileLayout {
     /// A stable 64-bit fingerprint of this layout: FNV-1a over the
     /// deterministic wire form. Equal layouts always fingerprint equal,
     /// and any structural change (a permuted dimension, one table entry)
-    /// changes the hash. `flo-store` stamps this into its superblock so
-    /// a materialized store can refuse to serve a different layout's
-    /// replay.
+    /// changes the hash.
     pub fn fingerprint(&self) -> u64 {
         let mut h: u64 = 0xcbf2_9ce4_8422_2325;
         for b in self.to_json().to_string().bytes() {
@@ -179,7 +177,8 @@ impl FileLayout {
     }
 
     /// Combined fingerprint of a whole program's layout assignment, in
-    /// slot order — the layout hash a multi-file store is sealed under.
+    /// slot order: two runs that fingerprint equal ran under the same
+    /// layouts, so a sweep can group capacity points that share a trace.
     pub fn fingerprint_all<'a>(layouts: impl IntoIterator<Item = &'a FileLayout>) -> u64 {
         let mut h: u64 = 0xcbf2_9ce4_8422_2325;
         for l in layouts {

@@ -44,7 +44,7 @@ pub mod telemetry;
 pub mod timing;
 
 pub use hist::Hist;
-pub use metrics::{FaultCounters, MetricsObserver, StoreCounters};
+pub use metrics::{FaultCounters, MetricsObserver};
 pub use observer::{FaultEvent, KarmaRoute, Layer, NullObserver, Observer};
 pub use sink::{metrics_mode, JsonlSink, MetricsMode, SCHEMA_VERSION};
 pub use span::{span, timeline, Span, SpanRecord, Timeline};

@@ -125,71 +125,6 @@ impl FaultCounters {
     }
 }
 
-/// Tallies from a real-bytes `flo-store` run: what the materializer
-/// wrote and what the replayer actually read (all zero — and absent from
-/// artifacts — when the store is unused, so simulation-only runs pay
-/// nothing).
-#[derive(Clone, Copy, Debug, Default, PartialEq)]
-pub struct StoreCounters {
-    /// Blocks the materializer wrote into stripe files.
-    pub blocks_materialized: u64,
-    /// Bytes written (headers, slots, superblock).
-    pub bytes_written: u64,
-    /// Data bytes served by verified preads during replay.
-    pub bytes_read: u64,
-    /// Block-cache evictions across both layers.
-    pub evictions: u64,
-    /// Dirty buffers written back (materializer write-back mode).
-    pub writebacks: u64,
-    /// Peak count of dirty buffers resident at once.
-    pub dirty_high_water: u64,
-    /// Injected transient pread failures absorbed by the retry path.
-    pub retries: u64,
-    /// Retry backoff latency charged, in (modeled) milliseconds.
-    pub retry_ms: f64,
-    /// Real elapsed wall-clock time of the replay, in milliseconds.
-    pub replay_wall_ms: f64,
-}
-
-impl StoreCounters {
-    /// Whether any store activity was recorded.
-    pub fn any(&self) -> bool {
-        self.blocks_materialized > 0
-            || self.bytes_written > 0
-            || self.bytes_read > 0
-            || self.evictions > 0
-            || self.writebacks > 0
-            || self.retries > 0
-    }
-
-    /// Accumulate another run's counters into this one (suite totals).
-    pub fn merge(&mut self, other: &StoreCounters) {
-        self.blocks_materialized += other.blocks_materialized;
-        self.bytes_written += other.bytes_written;
-        self.bytes_read += other.bytes_read;
-        self.evictions += other.evictions;
-        self.writebacks += other.writebacks;
-        self.dirty_high_water = self.dirty_high_water.max(other.dirty_high_water);
-        self.retries += other.retries;
-        self.retry_ms += other.retry_ms;
-        self.replay_wall_ms += other.replay_wall_ms;
-    }
-
-    /// JSON image, as embedded in the metrics artifact's `store` key.
-    pub fn to_json(self) -> Json {
-        Json::obj()
-            .set("blocks_materialized", self.blocks_materialized)
-            .set("bytes_written", self.bytes_written)
-            .set("bytes_read", self.bytes_read)
-            .set("evictions", self.evictions)
-            .set("writebacks", self.writebacks)
-            .set("dirty_high_water", self.dirty_high_water)
-            .set("retries", self.retries)
-            .set("retry_ms", self.retry_ms)
-            .set("replay_wall_ms", self.replay_wall_ms)
-    }
-}
-
 /// One end-of-run per-set occupancy snapshot.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct OccupancySnapshot {
@@ -226,9 +161,6 @@ pub struct MetricsObserver {
     pub occupancy: Vec<OccupancySnapshot>,
     /// Injected-fault tallies (degraded-mode runs).
     pub faults: FaultCounters,
-    /// Real-bytes store tallies (set by the harness after a measured
-    /// run; all-zero and omitted from JSON on simulation-only runs).
-    pub store: StoreCounters,
 }
 
 fn at<T: Default + Clone>(v: &mut Vec<T>, i: usize) -> &mut T {
@@ -312,7 +244,7 @@ impl MetricsObserver {
                     )
             })
             .collect();
-        let mut j = Json::obj()
+        Json::obj()
             .set("io", Json::Arr(io))
             .set("storage", Json::Arr(storage))
             .set("disks", Json::Arr(disks))
@@ -328,11 +260,7 @@ impl MetricsObserver {
                 self.stack.to_json().set("cold", self.cold),
             )
             .set("occupancy", Json::Arr(occupancy))
-            .set("faults", self.faults.to_json());
-        if self.store.any() {
-            j = j.set("store", self.store.to_json());
-        }
-        j
+            .set("faults", self.faults.to_json())
     }
 }
 
@@ -476,44 +404,6 @@ mod tests {
         assert!((m.faults.retry_ms - 2.0).abs() < 1e-12);
         assert_eq!(m.faults.cache_flushes, 1);
         assert_eq!(m.faults.flushed_blocks, 7);
-    }
-
-    #[test]
-    fn store_counters_merge_and_gate_json() {
-        let mut m = MetricsObserver::new();
-        m.cache_access(Layer::Io, 0, true, 1);
-        assert!(!m.store.any());
-        assert!(
-            m.to_json().get("store").is_none(),
-            "simulation-only artifacts must not carry a store key"
-        );
-
-        let mut a = StoreCounters {
-            blocks_materialized: 10,
-            bytes_written: 640,
-            bytes_read: 320,
-            evictions: 3,
-            writebacks: 2,
-            dirty_high_water: 5,
-            retries: 1,
-            retry_ms: 10.0,
-            replay_wall_ms: 4.0,
-        };
-        let b = StoreCounters {
-            dirty_high_water: 9,
-            bytes_read: 64,
-            ..StoreCounters::default()
-        };
-        a.merge(&b);
-        assert_eq!(a.bytes_read, 384);
-        assert_eq!(a.dirty_high_water, 9, "high water merges by max");
-        assert!(a.any());
-
-        m.store = a;
-        let j = m.to_json();
-        let s = j.get("store").expect("store key present once active");
-        assert_eq!(s.get("writebacks").and_then(Json::as_f64), Some(2.0));
-        assert!(flo_json::parse(&j.to_string()).is_ok());
     }
 
     #[test]

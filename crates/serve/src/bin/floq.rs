@@ -7,7 +7,6 @@
 //! floq simulate --app swim --scale small --scheme inter --policy karma
 //! floq simulate --app qio  --fault-seed 7 --fault-intensity 1.0
 //! floq sweep    --app sar  --points 24:48,48:96 --policy lru
-//! floq store    --app qio  --policy karma
 //! floq shutdown
 //! ```
 //!
@@ -64,7 +63,7 @@ struct Args {
 fn usage() -> ! {
     eprintln!(
         "usage: floq [--socket PATH | --tcp ADDR | --cluster FILE] [--direct] [--deadline-ms N] [--pipeline N] KIND [options]
-  KIND: ping | stats | telemetry | shutdown | layout | simulate | store | sweep
+  KIND: ping | stats | telemetry | shutdown | layout | simulate | sweep
   --cluster FILE        membership file; route work keys across nodes, fan out control
                         requests (FLO_CLUSTER=FILE is the env equivalent)
   --pipeline N          send the request N times pipelined on one connection
@@ -214,11 +213,6 @@ fn build_request(args: &Args) -> Request {
                 seed,
                 intensity: args.fault_intensity,
             }),
-        },
-        "store" => Request::Store {
-            app: app(),
-            scale: args.scale,
-            policy: args.policy,
         },
         "sweep" => {
             if args.points.is_empty() {

@@ -14,9 +14,7 @@
 //! error and cache-hit tallies, p50/p95/p99 total latency, and the
 //! event-loop tick / queue-depth gauges. A trailing panel lists the
 //! slowest recent traces so a tail-latency spike comes with the trace
-//! ids to grep for in the JSONL metrics; another shows each node's
-//! measured store replays (the `store` work kind) against the
-//! simulator's prediction with `sim − measured` deltas.
+//! ids to grep for in the JSONL metrics.
 //!
 //! When stdout is a terminal the screen is redrawn in place; when piped,
 //! each sample prints as a plain block (so `flotop --count 1` doubles as
@@ -249,66 +247,6 @@ fn render_slowest(out: &mut String, snaps: &[(String, Result<Json, String>)]) {
     }
 }
 
-/// Measured store replays: each node's latest `store` work-kind points
-/// — measured hit rates, writebacks, dirty high-water — next to the
-/// simulated prediction for the same (app, policy), with `sim −
-/// measured` delta columns in percentage points. Rows appear once a
-/// node has executed a `store` request (`floq store --app ...`).
-fn render_store(out: &mut String, snaps: &[(String, Result<Json, String>)]) {
-    let mut rows = Vec::new();
-    for (node, snap) in snaps {
-        let Ok(snap) = snap else { continue };
-        let Some(list) = snap.get("store").and_then(Json::as_arr) else {
-            continue;
-        };
-        for entry in list {
-            let f = |k: &str| entry.get(k).and_then(Json::as_f64).unwrap_or(0.0);
-            let app = entry.get("app").and_then(Json::as_str).unwrap_or("?");
-            let policy = entry.get("policy").and_then(Json::as_str).unwrap_or("?");
-            let (meas_io, sim_io) = (f("measured_io_hit") * 100.0, f("sim_io_hit") * 100.0);
-            let (meas_st, sim_st) = (
-                f("measured_storage_hit") * 100.0,
-                f("sim_storage_hit") * 100.0,
-            );
-            let agree = match entry.get("agree").and_then(Json::as_bool) {
-                Some(true) => "yes",
-                Some(false) => "NO",
-                None => "?",
-            };
-            rows.push(format!(
-                "  {node:<12} {app:<8} {policy:<6} {meas_io:>7.2} {sim_io:>7.2} {:>+7.2} \
-                 {meas_st:>7.2} {sim_st:>7.2} {:>+7.2} {:>6} {:>8} {agree:>5}\n",
-                sim_io - meas_io,
-                sim_st - meas_st,
-                q(entry, "writebacks"),
-                q(entry, "dirty_high_water"),
-            ));
-        }
-    }
-    if rows.is_empty() {
-        return;
-    }
-    out.push_str("\nstore replays (measured vs simulated, Δ = sim − measured, pp):\n");
-    out.push_str(&format!(
-        "  {:<12} {:<8} {:<6} {:>7} {:>7} {:>7} {:>7} {:>7} {:>7} {:>6} {:>8} {:>5}\n",
-        "node",
-        "app",
-        "policy",
-        "io%",
-        "io%sim",
-        "Δio",
-        "st%",
-        "st%sim",
-        "Δst",
-        "wb",
-        "dirty-hw",
-        "agree"
-    ));
-    for row in rows {
-        out.push_str(&row);
-    }
-}
-
 /// Per-node circuit state and resilience counters, as this flotop's own
 /// routing client observed them across its sampling fan-outs.
 fn render_health(out: &mut String, health: &Json) {
@@ -371,7 +309,6 @@ fn main() {
             }
         }
         render_slowest(&mut out, &snaps);
-        render_store(&mut out, &snaps);
         if let Some(h) = source.health() {
             render_health(&mut out, &h);
         }

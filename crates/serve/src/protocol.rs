@@ -222,22 +222,6 @@ pub enum Request {
         /// Optional deterministic fault plan.
         fault: Option<FaultSpec>,
     },
-    /// Materialize the app's optimized layouts into a real `flo-store`
-    /// store on the serving node and replay its trace through real
-    /// block caches — the remote face of the `figm` experiment. The
-    /// result carries measured-vs-simulated hit rates and the agreement
-    /// verdict; wall-clock fields are deliberately omitted so the
-    /// response stays cacheable, reproducible bytes.
-    Store {
-        /// Application name.
-        app: String,
-        /// Workload scale.
-        scale: Scale,
-        /// Replayed cache-management policy (only `lru` and `karma`
-        /// have measured counterparts; others are rejected at
-        /// execution).
-        policy: PolicyKind,
-    },
     /// One-pass multi-capacity sweep over the given capacity points.
     Sweep {
         /// Application name.
@@ -263,7 +247,6 @@ impl Request {
             Request::Shutdown => "shutdown",
             Request::Layout { .. } => "layout",
             Request::Simulate { .. } => "simulate",
-            Request::Store { .. } => "store",
             Request::Sweep { .. } => "sweep",
         }
     }
@@ -273,7 +256,6 @@ impl Request {
         match self {
             Request::Layout { app, .. }
             | Request::Simulate { app, .. }
-            | Request::Store { app, .. }
             | Request::Sweep { app, .. } => app,
             _ => "-",
         }
@@ -333,10 +315,6 @@ impl Request {
                 }
                 j
             }
-            Request::Store { app, scale, policy } => j
-                .set("app", app.as_str())
-                .set("scale", scale_name(*scale))
-                .set("policy", policy.name()),
             Request::Sweep {
                 app,
                 scale,
@@ -376,10 +354,9 @@ impl Request {
 /// lives, and a warm hit never pays a cross-node hop.
 pub fn work_key(req: &Request) -> Option<String> {
     match req {
-        Request::Layout { .. }
-        | Request::Simulate { .. }
-        | Request::Store { .. }
-        | Request::Sweep { .. } => Some(req.to_envelope(0, None).to_string()),
+        Request::Layout { .. } | Request::Simulate { .. } | Request::Sweep { .. } => {
+            Some(req.to_envelope(0, None).to_string())
+        }
         Request::Ping | Request::Stats | Request::Telemetry | Request::Shutdown => None,
     }
 }
@@ -564,11 +541,6 @@ pub fn parse_envelope(j: &Json) -> Result<Envelope, ServeError> {
                 fault,
             }
         }
-        "store" => Request::Store {
-            app: need_str(j, "app")?.to_string(),
-            scale: scale()?,
-            policy: policy()?,
-        },
         "sweep" => {
             let raw = j
                 .get("points")
@@ -843,11 +815,6 @@ mod tests {
                     seed: 7,
                     intensity: 0.5,
                 }),
-            },
-            Request::Store {
-                app: "qio".into(),
-                scale: Scale::Small,
-                policy: PolicyKind::Karma,
             },
             Request::Sweep {
                 app: "sar".into(),

@@ -968,13 +968,6 @@ impl EventLoop {
                         .set("enabled", false)
                         .set("node", &*self.node_id),
                 };
-                // The store panel rides the snapshot even when the
-                // request accumulator is off: it lives in the service,
-                // not the telemetry ring.
-                let snap = match self.service.store_panel() {
-                    Some(rows) => snap.set("store", rows),
-                    None => snap,
-                };
                 let conn = self.slots[index].as_mut().expect("conn");
                 conn.queue_json(&ok_response_traced(id, Some(trace), snap));
                 self.note_inline(trace, id, "telemetry", true, parse_us, us_since(s0));

@@ -18,17 +18,16 @@
 //!   pass's `optimized_fraction` but deliberately omits `compile_ms`.
 
 use crate::protocol::{scale_name, target_name, FaultSpec, Request, ServeError};
-use flo_bench::experiments::figm;
 use flo_bench::harness::{prepare_run, sweep_outcomes, RunOverrides};
 use flo_bench::{
-    run_app_cached, run_app_faulted_cached, store_dir_from_env, topology_for, Lru, RunCaches,
-    Scheme, DEFAULT_CACHE_MB,
+    run_app_cached, run_app_faulted_cached, topology_for, Lru, RunCaches, Scheme, DEFAULT_CACHE_MB,
 };
 use flo_core::TargetLayers;
 use flo_json::Json;
 use flo_sim::{FaultPlan, PolicyKind, SweepPoint};
 use flo_workloads::{by_name, Scale, Workload};
 use std::collections::HashMap;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 
@@ -73,11 +72,6 @@ pub struct Service {
     /// the other caches are — execution is deterministic, so the bytes
     /// are a pure function of the request.
     responses: Lru<Vec<u8>, String>,
-    /// Latest measured store-replay point per (app, policy), rendered:
-    /// the telemetry `store` panel `flotop` shows next to simulated
-    /// predictions. A replaced entry keeps its slot, so the panel stays
-    /// one row per point no matter how often it is re-measured.
-    stores: Mutex<Vec<(String, Json)>>,
     /// Single-flight table: work keys currently being computed. A
     /// duplicate arriving while the leader runs (another client's
     /// request for the key, a replay after a redial) waits for the
@@ -99,7 +93,6 @@ impl Service {
         Service {
             caches: RunCaches::with_budget(budget_bytes),
             responses: Lru::bounded(budget_bytes / 16),
-            stores: Mutex::new(Vec::new()),
             inflight: Mutex::new(HashMap::new()),
             executions: AtomicU64::new(0),
             dedups: AtomicU64::new(0),
@@ -138,7 +131,6 @@ impl Service {
                 policy,
                 fault,
             } => self.simulate(app, *scale, *scheme, *policy, *fault),
-            Request::Store { app, scale, policy } => self.store(app, *scale, *policy),
             Request::Sweep {
                 app,
                 scale,
@@ -178,9 +170,21 @@ impl Service {
         if let Some(hit) = self.responses.get(&key) {
             return (Ok(hit), "warm");
         }
-        // Single-flight: exactly one thread computes a given work key at
-        // a time. Join an existing flight as a follower, or become the
-        // leader of a new one.
+        self.single_flight(key.clone(), || self.compute_bytes(req, Some(key)))
+    }
+
+    /// Single-flight: exactly one thread computes a given work key at a
+    /// time. Join an existing flight as a follower and wait for its
+    /// bytes, or become the leader of a new one and run `compute`. A
+    /// panic in `compute` answers `internal` like any other failure, so
+    /// the leader, its followers and the key's next request all get an
+    /// answer, and the worker thread lives on. No lock is held while
+    /// `compute` runs.
+    fn single_flight(
+        &self,
+        key: String,
+        compute: impl FnOnce() -> Result<Arc<Vec<u8>>, ServeError>,
+    ) -> (Result<Arc<Vec<u8>>, ServeError>, &'static str) {
         let (flight, leader) = {
             let mut map = self.inflight.lock().unwrap();
             match map.get(&key) {
@@ -196,12 +200,20 @@ impl Service {
             self.dedups.fetch_add(1, Ordering::Relaxed);
             return (flight.wait(), "dedup");
         }
-        let result = self.compute_bytes(req, Some(key.clone()));
-        // Retire the flight *before* publishing: compute_bytes already
-        // inserted the bytes into the response cache, so a request
-        // arriving after removal takes the warm path, and one that
-        // joined earlier gets the published result. Either way nobody
-        // recomputes and nobody waits forever.
+        let result = catch_unwind(AssertUnwindSafe(compute)).unwrap_or_else(|panic| {
+            let msg = panic
+                .downcast_ref::<&str>()
+                .copied()
+                .or_else(|| panic.downcast_ref::<String>().map(String::as_str))
+                .unwrap_or("non-string payload");
+            Err(ServeError::Internal(format!("request panicked: {msg}")))
+        });
+        // Retire the flight *before* publishing: a successful compute
+        // already inserted the bytes into the response cache, so a
+        // request arriving after removal takes the warm path, and one
+        // that joined earlier gets the published result. Either way
+        // nobody recomputes and nobody waits forever. An error is not
+        // cached: the key's next request computes afresh.
         self.inflight.lock().unwrap().remove(&key);
         flight.finish(result.clone());
         (result, "miss")
@@ -350,48 +362,6 @@ impl Service {
                     .set("faults", counters.to_json()))
             }
         }
-    }
-
-    /// The `store` work kind: materialize the app's optimized layouts
-    /// as real bytes under `FLO_STORE_DIR` and replay its trace, via
-    /// [`figm::measure_point`] — exactly what the `figm` experiment
-    /// runs per point, so the served verdict and the CI gate agree by
-    /// construction. The result rendering omits wall-clock fields
-    /// (reproducible bytes, like every work kind); as a side effect the
-    /// point is retained for [`Service::store_panel`].
-    fn store(&self, app: &str, scale: Scale, policy: PolicyKind) -> Result<Json, ServeError> {
-        let workload = self.workload(app, scale)?;
-        if !matches!(policy, PolicyKind::LruInclusive | PolicyKind::Karma) {
-            return Err(ServeError::BadRequest(format!(
-                "policy {:?} has no measured replay (use lru|karma)",
-                policy.name()
-            )));
-        }
-        let topo = topology_for(scale);
-        let point = figm::measure_point(&store_dir_from_env(), &workload, &topo, policy)
-            .map_err(|e| ServeError::Internal(e.to_string()))?;
-        let result = point.to_stable_json().set("scale", scale_name(scale));
-        let key = format!("{app}/{}", policy.name());
-        let mut panel = self.stores.lock().unwrap();
-        match panel.iter_mut().find(|(k, _)| *k == key) {
-            Some((_, row)) => *row = result.clone(),
-            None => panel.push((key, result.clone())),
-        }
-        Ok(result)
-    }
-
-    /// The latest measured store-replay point per (app, policy) this
-    /// node has executed, for the telemetry snapshot's `store` panel.
-    /// `None` until a `store` request has actually run (a warm cache
-    /// hit keeps the panel from the original execution).
-    pub fn store_panel(&self) -> Option<Json> {
-        let panel = self.stores.lock().unwrap();
-        if panel.is_empty() {
-            return None;
-        }
-        Some(Json::Arr(
-            panel.iter().map(|(_, row)| row.clone()).collect(),
-        ))
     }
 
     fn sweep(
@@ -721,36 +691,63 @@ mod tests {
     }
 
     #[test]
-    fn store_requests_measure_agree_and_fill_the_panel() {
-        let svc = Service::with_budget(64 << 20);
-        assert!(svc.store_panel().is_none(), "panel starts empty");
-        let req = Request::Store {
-            app: "qio".into(),
-            scale: Scale::Small,
-            policy: PolicyKind::LruInclusive,
+    fn panicking_leader_answers_internal_and_frees_its_key() {
+        let svc = Arc::new(Service::with_budget(64 << 20));
+        let req = req_simulate("qio");
+        let key = crate::protocol::work_key(&req).unwrap();
+        let (tx, rx) = std::sync::mpsc::channel();
+        // Plain threads, not a scope: a regression must fail the
+        // `recv_timeout` below, not hang the join.
+        let leader = {
+            let (svc, key, tx) = (Arc::clone(&svc), key.clone(), tx.clone());
+            std::thread::spawn(move || {
+                let compute = || {
+                    while svc.dedups() < 2 {
+                        std::thread::sleep(std::time::Duration::from_millis(1));
+                    }
+                    panic!("injected fault");
+                };
+                tx.send(svc.single_flight(key, compute)).unwrap();
+            })
         };
-        let a = svc.execute(&req).unwrap();
-        assert_eq!(a.get("agree").and_then(Json::as_bool), Some(true));
-        assert!(
-            a.get("replay_wall_ms").is_none() && a.get("wall_ms").is_none(),
-            "served store results must not carry wall-clock fields"
-        );
-        let b = svc.execute(&req).unwrap();
-        assert_eq!(a.to_string(), b.to_string(), "reproducible bytes");
-        let panel = svc.store_panel().unwrap();
-        assert_eq!(
-            panel.as_arr().unwrap().len(),
-            1,
-            "re-measuring replaces the panel row, not appends"
-        );
+        // The followers join once the leader's flight is registered.
+        while !svc.inflight.lock().unwrap().contains_key(&key) {
+            std::thread::yield_now();
+        }
+        let followers: Vec<_> = (0..2)
+            .map(|_| {
+                let (svc, req, tx) = (Arc::clone(&svc), req.clone(), tx.clone());
+                std::thread::spawn(move || tx.send(svc.execute_bytes_probed(&req)).unwrap())
+            })
+            .collect();
+        let mut outcomes: Vec<&str> = (0..3)
+            .map(|_| {
+                let (result, how) = rx
+                    .recv_timeout(std::time::Duration::from_secs(30))
+                    .expect("every caller of the panicked flight is answered");
+                match result {
+                    Err(ServeError::Internal(m)) => assert!(m.contains("injected fault"), "{m}"),
+                    other => panic!("wanted internal, got {other:?}"),
+                }
+                how
+            })
+            .collect();
+        outcomes.sort_unstable();
+        assert_eq!(outcomes, ["dedup", "dedup", "miss"]);
+        leader.join().expect("the leader thread survives its panic");
+        for f in followers {
+            f.join().unwrap();
+        }
+        assert!(svc.inflight.lock().unwrap().is_empty(), "the key is freed");
 
-        // Policies without a measured replay are rejected, typed.
-        let bad = Request::Store {
-            app: "qio".into(),
-            scale: Scale::Small,
-            policy: PolicyKind::MqSecondLevel,
-        };
-        assert!(matches!(svc.execute(&bad), Err(ServeError::BadRequest(_))));
+        // The key computes afresh, and other keys are unaffected.
+        let (fresh, how) = svc.execute_bytes_probed(&req);
+        assert_eq!(how, "miss");
+        assert_eq!(
+            fresh.unwrap().as_slice(),
+            svc.execute(&req).unwrap().to_string().as_bytes()
+        );
+        assert!(svc.execute_bytes(&req_simulate("swim")).is_ok());
     }
 
     #[test]

@@ -184,17 +184,24 @@ fn structured_hostile_frames_get_typed_errors() {
         assert_alive(listen);
 
         // Valid envelope, unknown kind / bad body: typed bad-request,
-        // and the connection survives to serve the next frame.
-        let mut two = frame(br#"{"v":1,"id":5,"kind":"conquer"}"#);
-        two.extend_from_slice(&frame(br#"{"v":1,"id":6,"kind":"ping"}"#));
-        let responses = fire(listen, &two);
-        assert_eq!(responses.len(), 2, "both frames answered: {responses:?}");
-        assert_eq!(error_kind(&responses[0]).as_deref(), Some("bad-request"));
-        assert_eq!(
-            responses[1].get("ok").and_then(flo_json::Json::as_bool),
-            Some(true)
-        );
-        assert_alive(listen);
+        // and the connection survives to serve the next frame. `store`
+        // is a retired kind an older client may still send.
+        let unknown: [&[u8]; 2] = [
+            br#"{"v":1,"id":5,"kind":"conquer"}"#,
+            br#"{"v":1,"id":7,"kind":"store","app":"qio","scale":"small","policy":"lru"}"#,
+        ];
+        for body in unknown {
+            let mut two = frame(body);
+            two.extend_from_slice(&frame(br#"{"v":1,"id":6,"kind":"ping"}"#));
+            let responses = fire(listen, &two);
+            assert_eq!(responses.len(), 2, "both frames answered: {responses:?}");
+            assert_eq!(error_kind(&responses[0]).as_deref(), Some("bad-request"));
+            assert_eq!(
+                responses[1].get("ok").and_then(flo_json::Json::as_bool),
+                Some(true)
+            );
+            assert_alive(listen);
+        }
 
         // Oversized frame just past the cap.
         let oversize = ((flo_serve::protocol::MAX_FRAME_BYTES + 1) as u32).to_le_bytes();

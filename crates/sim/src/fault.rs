@@ -233,10 +233,8 @@ impl FaultPlan {
     /// the disk read served at interleaved request `request`.
     ///
     /// This and the three draws above are the whole schedule: they are
-    /// what [`FaultState`] replays, what `flo_sim::oracle` replays
-    /// independently, and — for transient errors — what the real-bytes
-    /// store's I/O fault injector fails its pread calls on, so measured
-    /// retry tallies can be asserted equal to simulated ones.
+    /// what [`FaultState`] replays and what `flo_sim::oracle` replays
+    /// independently.
     #[inline]
     pub fn transient_fires(&self, request: u64, attempt: u32) -> bool {
         chance(

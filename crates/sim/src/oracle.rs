@@ -12,9 +12,9 @@
 //! ([`CostModel`], [`DiskModel`]) and [`FaultPlan`]'s seeded draws — no
 //! set hashing, routing, cache, disk or policy code. That makes it the
 //! single differential reference for `simulate`, `simulate_faulted`,
-//! `simulate_sweep`, the cache structures, KARMA's allocation table and
-//! the `flo-store` replayer: each is checked against an independent
-//! statement of the rules, not against a copy of itself.
+//! `simulate_sweep`, the cache structures and KARMA's allocation table:
+//! each is checked against an independent statement of the rules, not
+//! against a copy of itself.
 
 use crate::block::{BlockAddr, FileId};
 use crate::cache::CacheStats;
