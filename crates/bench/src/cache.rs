@@ -115,9 +115,18 @@ impl<V, K: Hash + Eq + Clone> Lru<V, K> {
 
     /// The locked table. Values are built outside the lock, so only a
     /// bug here, or a key's `Hash` or a value's `Drop` panicking, can
-    /// poison it.
+    /// poison it. A poisoned table may be half-updated, so it is cleared
+    /// and the lock recovered: every entry is a deterministic
+    /// computation, so whatever it held recomputes bit-identically.
     fn table(&self) -> MutexGuard<'_, Table<V, K>> {
-        self.table.lock().expect("an LRU table operation panicked")
+        self.table.lock().unwrap_or_else(|poisoned| {
+            let mut table = poisoned.into_inner();
+            table.slots.clear();
+            table.recency.clear();
+            table.used_bytes = 0;
+            self.table.clear_poison();
+            table
+        })
     }
 
     /// Look up `key`, refreshing its recency. Counts a hit or a miss.
@@ -588,6 +597,53 @@ mod tests {
         let second = traces_for(&caches, &w, &cfg, &layouts, &topo);
         assert!(Arc::ptr_eq(&first, &second), "the second lookup hits");
         assert_eq!((caches.traces.hits(), caches.total_evictions()), (1, 0));
+    }
+
+    thread_local! {
+        /// Hashes a [`Flaky`] key takes before one panics (`None`: never).
+        static HASHES_LEFT: std::cell::Cell<Option<u32>> = const { std::cell::Cell::new(None) };
+    }
+
+    /// A key whose `Hash` panics once, on cue.
+    #[derive(Clone, Debug, PartialEq, Eq)]
+    struct Flaky(u64);
+
+    impl Hash for Flaky {
+        fn hash<H: Hasher>(&self, state: &mut H) {
+            if let Some(left) = HASHES_LEFT.get() {
+                HASHES_LEFT.set(left.checked_sub(1));
+                assert!(left > 0, "injected hash panic");
+            }
+            self.0.hash(state);
+        }
+    }
+
+    #[test]
+    fn a_poisoned_table_is_cleared_and_recomputes() {
+        let lru: Lru<u64, Flaky> = Lru::bounded(100);
+        for k in 0..3 {
+            lru.get_or_insert_with(Flaky(k), |_| 30, || k * 10);
+        }
+        // Key 3's lookup and its insert's probe hash it; the third hash,
+        // into its slot, panics after its recency entry and cost went in.
+        HASHES_LEFT.set(Some(2));
+        let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            lru.get_or_insert_with(Flaky(3), |_| 30, || 30)
+        }));
+        assert!(caught.is_err(), "the injected panic fired");
+        match lru.table.lock() {
+            Err(poisoned) => {
+                let half = poisoned.get_ref();
+                assert_eq!((half.slots.len(), half.recency.len()), (3, 4));
+                assert_eq!(half.used_bytes, 120, "over budget, half-updated");
+            }
+            Ok(_) => panic!("the panic must poison the table"),
+        }
+        assert_eq!(*lru.get_or_insert_with(Flaky(3), |_| 30, || 30), 30);
+        assert!(!lru.table.is_poisoned(), "the lock is recovered");
+        assert_eq!(*lru.get_or_insert_with(Flaky(1), |_| 30, || 10), 10);
+        assert_eq!((lru.len(), lru.used_bytes()), (2, 60));
+        assert!(lru.used_bytes() <= 100);
     }
 
     #[test]

@@ -4,19 +4,28 @@
 //! determines which thread owns it: the satisfied primary reference gives
 //! `s = α·i_u + β`, so the iteration block containing
 //! `i_u = ⌊(s − β)/α⌋` (clamped to the iteration range) owns data
-//! hyperplane `s`. The elements of each thread are enumerated in
-//! increasing-`s` order (lexicographic within a hyperplane) and packed
-//! into consecutive chunks whose starting addresses come from the
+//! hyperplane `s`. The elements of each thread are packed into
+//! consecutive chunks whose starting addresses come from the
 //! hierarchy-aware [`ChunkAddresser`] — exactly the element-wise address
 //! assignment loop of the paper's Algorithm 1.
+//!
+//! Elements are assigned in two phases. Phase 1 walks each thread's
+//! schedule of the primary nest one innermost segment at a time, with
+//! one incremental cursor per satisfied reference projected onto the
+//! row-major element index (the segment walk tracegen shares), and gives
+//! every element its first toucher. Phase 2 runs only when phase 1 left
+//! an element unassigned (or did not run): it hands the rest to the
+//! owners of their hyperplanes in increasing-`s` order, lexicographic
+//! within a hyperplane.
 //!
 //! The construction runs in O(elements + s-range) time and is performed
 //! once per array at compile time (the paper reports a ~36% compile-time
 //! increase for the same reason).
 
-use crate::layout::HierLayout;
+use crate::layout::{FileLayout, HierLayout};
 use crate::pattern::ChunkAddresser;
-use flo_parallel::{BlockPartition, ThreadSchedule};
+use crate::walk::for_each_segment;
+use flo_parallel::BlockPartition;
 use flo_polyhedral::{AffineAccess, DataSpace, IterSpace};
 
 /// The affine relation `s = α·i_u + β` between the parallel loop and the
@@ -84,6 +93,41 @@ pub struct PrimaryRef<'a> {
 
 const UNASSIGNED: u64 = u64::MAX;
 
+/// The table under construction and each thread's chunk fill state.
+struct Filler<'a> {
+    addr: &'a ChunkAddresser,
+    chunk: u64,
+    /// Per thread: (chunk number, elements placed in it, its start).
+    cursor: Vec<(u64, u64, u64)>,
+    table: Vec<u64>,
+    max_off: u64,
+    unassigned: usize,
+}
+
+impl Filler<'_> {
+    /// Give element `elem` the next address of thread `t`, unless it
+    /// already has one.
+    #[inline]
+    fn assign(&mut self, t: usize, elem: usize) {
+        if self.table[elem] != UNASSIGNED {
+            return;
+        }
+        let cur = &mut self.cursor[t];
+        if cur.1 == 0 {
+            cur.2 = self.addr.chunk_start(t, cur.0);
+        }
+        let off = cur.2 + cur.1;
+        self.table[elem] = off;
+        self.max_off = self.max_off.max(off);
+        self.unassigned -= 1;
+        cur.1 += 1;
+        if cur.1 == self.chunk {
+            cur.0 += 1;
+            cur.1 = 0;
+        }
+    }
+}
+
 /// Build the hierarchical layout table for one array.
 ///
 /// * `space` — the array's data space;
@@ -113,50 +157,56 @@ pub fn build_hier_layout(
         total > 0 && total < u32::MAX as usize,
         "array too large for table layout"
     );
-    let (s_lo, s_hi) = s_range(space, d_row);
-    let range = (s_hi - s_lo + 1) as usize;
-
     let threads = partition.num_threads();
-    let chunk = addr.chunk_elems();
-    let mut cursor: Vec<(u64, u64, u64)> = vec![(0, 0, 0); threads]; // (x, fill, base)
-    let mut table = vec![UNASSIGNED; total];
-    let mut max_off = 0u64;
-    let mut assign = |t: usize, elem: usize, table: &mut [u64], cursor: &mut [(u64, u64, u64)]| {
-        let cur = &mut cursor[t];
-        if cur.1 == 0 {
-            cur.2 = addr.chunk_start(t, cur.0);
-        }
-        let off = cur.2 + cur.1;
-        table[elem] = off;
-        max_off = max_off.max(off);
-        cur.1 += 1;
-        if cur.1 == chunk {
-            cur.0 += 1;
-            cur.1 = 0;
-        }
+    let mut fill = Filler {
+        addr,
+        chunk: addr.chunk_elems(),
+        cursor: vec![(0, 0, 0); threads],
+        table: vec![UNASSIGNED; total],
+        max_off: 0,
+        unassigned: total,
     };
 
     // Phase 1: first-touch assignment along each thread's schedule of the
-    // primary reference.
+    // primary references, projected onto the row-major element index.
     if let Some(p) = &primary {
-        let mut elem = vec![0i64; space.rank()];
+        let strides = FileLayout::RowMajor
+            .strides(space)
+            .expect("row-major strides exist");
+        let refs: Vec<(&AffineAccess, &[i64])> =
+            p.accesses.iter().map(|&a| (a, &strides[..])).collect();
         for t in 0..threads {
-            let sched = ThreadSchedule::new(p.nest_space, partition, t);
-            for i in sched.iterations() {
-                for access in &p.accesses {
-                    access.eval_into(&i, &mut elem);
-                    debug_assert!(space.contains(&elem));
-                    let e = space.linearize(&elem) as usize;
-                    if table[e] == UNASSIGNED {
-                        assign(t, e, &mut table, &mut cursor);
+            for_each_segment(p.nest_space, partition, t, &refs, |segs, len| {
+                for j in 0..len {
+                    for seg in segs {
+                        fill.assign(t, (seg.start + j * seg.step) as usize);
                     }
                 }
-            }
+            });
         }
     }
+    if fill.unassigned > 0 {
+        assign_by_hyperplane(&mut fill, space, d_row, smap, partition);
+    }
+    debug_assert!(fill.table.iter().all(|&x| x != UNASSIGNED));
+    HierLayout {
+        table: fill.table,
+        file_elems: fill.max_off + 1,
+    }
+}
 
-    // Phase 2: remaining elements (untouched by the primary reference) go
-    // to the thread owning their hyperplane, in (s, lexicographic) order.
+/// Phase 2: elements phase 1 left (untouched by the primary references)
+/// go to the thread owning their hyperplane, in (s, lexicographic) order.
+fn assign_by_hyperplane(
+    fill: &mut Filler<'_>,
+    space: &DataSpace,
+    d_row: &[i64],
+    smap: SMapping,
+    partition: &BlockPartition,
+) {
+    let total = fill.table.len();
+    let (s_lo, s_hi) = s_range(space, d_row);
+    let range = (s_hi - s_lo + 1) as usize;
     // Counting sort of elements by s (stable → lexicographic within s).
     let mut counts = vec![0u32; range];
     walk_elements(space, d_row, |_, s| counts[(s - s_lo) as usize] += 1);
@@ -164,10 +214,10 @@ pub fn build_hier_layout(
     for i in 0..range {
         starts[i + 1] = starts[i] + counts[i];
     }
-    let mut fill = starts.clone();
+    let mut next = starts.clone();
     let mut order = vec![0u32; total];
     walk_elements(space, d_row, |e, s| {
-        let slot = &mut fill[(s - s_lo) as usize];
+        let slot = &mut next[(s - s_lo) as usize];
         order[*slot as usize] = e as u32;
         *slot += 1;
     });
@@ -187,17 +237,13 @@ pub fn build_hier_layout(
         let block = partition.block_of_coord(iu);
         let t = partition.thread_of_block(block);
         for &elem in &order[b..e] {
-            if table[elem as usize] == UNASSIGNED {
-                assign(t, elem as usize, &mut table, &mut cursor);
-            }
+            fill.assign(t, elem as usize);
         }
     }
-    debug_assert!(table.iter().all(|&x| x != UNASSIGNED));
-    HierLayout {
-        table,
-        file_elems: max_off + 1,
-    }
 }
+
+#[cfg(test)]
+mod oracle;
 
 #[cfg(test)]
 mod tests {

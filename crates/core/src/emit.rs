@@ -1,31 +1,38 @@
 //! The fast trace-emission path: block runs per innermost loop segment.
 //!
 //! The reference generator evaluates `a = Q·i + q` and a full layout
-//! lookup for every dynamic array reference. This module replaces that
-//! with incremental evaluation ([`AccessCursor`]) plus one of two
-//! emission strategies per nest:
+//! lookup for every dynamic array reference. This module instead walks
+//! each thread's blocks one innermost segment at a time, with one
+//! incremental [`AccessCursor`] per reference (the segment walk that
+//! Algorithm 1 shares), and emits each segment by one of two strategies:
 //!
 //! * **Run emission** (single-reference nests over dense layouts): the
 //!   file offset moves by a *constant stride* per innermost iteration,
 //!   so each innermost segment decomposes into a handful of
 //!   `(block, count)` runs computed in closed form — `O(blocks touched)`
 //!   instead of `O(iterations)`.
-//! * **Incremental stepping** (multi-reference nests, or table-backed
-//!   hierarchical layouts): one cursor per reference steps a scalar in
-//!   lockstep with the iteration odometer — still no matrix product or
-//!   layout arithmetic per access, but element-granular so that
-//!   cross-reference request coalescing matches the reference generator
-//!   bit for bit. (With several references per iteration, consecutive
-//!   same-block requests can span *references*, not just iterations, so
-//!   whole per-reference segments cannot be emitted en bloc.)
+//! * **Lockstep stepping** (multi-reference nests, or table-backed
+//!   hierarchical layouts): each reference's projection starts the
+//!   segment where its cursor stands and moves by its cursor's innermost
+//!   step, one iteration at a time and in program order across the
+//!   references. There is no matrix product, odometer step or divide per
+//!   access (power-of-two block sizes take block indices by shift), but
+//!   emission stays element-granular so that cross-reference request
+//!   coalescing matches the reference generator bit for bit. (With
+//!   several references per iteration, consecutive same-block requests
+//!   can span *references*, not just iterations, so whole per-reference
+//!   segments cannot be emitted en bloc.)
 //!
 //! Both strategies produce exactly the entry stream of
 //! [`generate_traces_reference`](crate::tracegen::generate_traces_reference);
 //! the differential test in `tests/` asserts this for the whole workload
 //! suite.
+//!
+//! [`AccessCursor`]: flo_polyhedral::AccessCursor
 
 use crate::layout::FileLayout;
-use flo_polyhedral::{AccessCursor, IterSpace, LoopNest, Program};
+use crate::walk::for_each_segment;
+use flo_polyhedral::{AffineAccess, LoopNest, Program};
 use flo_sim::{BlockAddr, ThreadTrace};
 
 /// How one reference's cursor projection turns into a file offset.
@@ -36,21 +43,47 @@ enum OffsetMode<'a> {
     Table(&'a [u64]),
 }
 
-/// One reference prepared for emission over a sub-box.
-struct RefEmitter<'a> {
-    cursor: AccessCursor,
+/// Where one reference's projections land: its offset mode and file.
+struct RefTarget<'a> {
     mode: OffsetMode<'a>,
     file: u32,
 }
 
-impl RefEmitter<'_> {
+impl RefTarget<'_> {
     #[inline]
-    fn offset(&self) -> u64 {
-        let p = self.cursor.projected();
+    fn offset(&self, p: i64) -> u64 {
         debug_assert!(p >= 0, "negative projection: reference escapes its array");
         match self.mode {
             OffsetMode::Dense => p as u64,
             OffsetMode::Table(t) => t[p as usize],
+        }
+    }
+}
+
+/// The block size, with the shift that replaces the divide when it is a
+/// power of two (every configured size is; a shift beats a hardware
+/// divide on this per-access path).
+#[derive(Clone, Copy)]
+struct BlockSize {
+    elems: u64,
+    shift: Option<u32>,
+}
+
+impl BlockSize {
+    fn new(elems: u64) -> BlockSize {
+        assert!(elems > 0, "BlockAddr: zero block size");
+        BlockSize {
+            elems,
+            shift: elems.is_power_of_two().then(|| elems.trailing_zeros()),
+        }
+    }
+
+    /// Index of the block containing element `offset`.
+    #[inline]
+    fn index(self, offset: u64) -> u64 {
+        match self.shift {
+            Some(s) => offset >> s,
+            None => offset / self.elems,
         }
     }
 }
@@ -69,75 +102,69 @@ pub fn emit_nest(
     block_elems: u64,
     trace: &mut ThreadTrace,
 ) {
-    let u = partition.u();
-    let n = nest.space.rank();
-    for block in partition.blocks_of_thread(thread) {
-        // The sub-box with dimension u restricted to this block.
-        let mut lower: Vec<i64> = (0..n).map(|k| nest.space.lower(k)).collect();
-        let mut upper: Vec<i64> = (0..n).map(|k| nest.space.upper(k)).collect();
-        lower[u] = block.lo;
-        upper[u] = block.hi;
-        let sub = IterSpace::new(lower, upper);
+    let size = BlockSize::new(block_elems);
+    let mut strides = Vec::with_capacity(nest.refs.len());
+    let mut targets = Vec::with_capacity(nest.refs.len());
+    for r in &nest.refs {
+        let space = &program.array(r.array).space;
+        let (mode, s) = match &layouts[r.array.0] {
+            // Project onto the row-major element index; the table
+            // finishes the mapping per element.
+            FileLayout::Hierarchical(h) => (
+                OffsetMode::Table(&h.table),
+                FileLayout::RowMajor.strides(space),
+            ),
+            dense => (OffsetMode::Dense, dense.strides(space)),
+        };
+        strides.push(s.expect("dense strides always exist"));
+        targets.push(RefTarget {
+            mode,
+            file: r.array.0 as u32,
+        });
+    }
+    let refs: Vec<(&AffineAccess, &[i64])> = nest
+        .refs
+        .iter()
+        .zip(&strides)
+        .map(|(r, s)| (&r.access, s.as_slice()))
+        .collect();
 
-        let mut refs: Vec<RefEmitter<'_>> = nest
-            .refs
-            .iter()
-            .map(|r| {
-                let space = &program.array(r.array).space;
-                let layout = &layouts[r.array.0];
-                let (mode, strides) = match layout {
-                    FileLayout::Hierarchical(h) => {
-                        // Project onto the row-major element index; the
-                        // table finishes the mapping per element.
-                        (
-                            OffsetMode::Table(&h.table),
-                            FileLayout::RowMajor.strides(space),
-                        )
-                    }
-                    dense => (OffsetMode::Dense, dense.strides(space)),
-                };
-                let strides = strides.expect("dense strides always exist");
-                RefEmitter {
-                    cursor: AccessCursor::with_projection(&r.access, &sub, &strides),
-                    mode,
-                    file: r.array.0 as u32,
+    match targets.as_slice() {
+        [t] if matches!(t.mode, OffsetMode::Dense) => {
+            // Single dense reference: whole-segment run emission.
+            for_each_segment(&nest.space, partition, thread, &refs, |segs, len| {
+                emit_runs(trace, t.file, segs[0].start, segs[0].step, len, size);
+            });
+        }
+        _ => {
+            // Element-granular lockstep (matches cross-reference
+            // coalescing exactly), advancing each projection by adding
+            // its step. Repeats of one block gather in `run` and reach
+            // the trace as one `push_run`, which is what `push` would
+            // have made of them.
+            let mut pos = vec![0i64; targets.len()];
+            let mut run: Option<(BlockAddr, u32)> = None;
+            for_each_segment(&nest.space, partition, thread, &refs, |segs, len| {
+                for (p, s) in pos.iter_mut().zip(segs) {
+                    *p = s.start;
                 }
-            })
-            .collect();
-
-        match refs.as_mut_slice() {
-            [r] if matches!(r.mode, OffsetMode::Dense) => {
-                // Single dense reference: whole-segment run emission.
-                let stride = r.cursor.innermost_step();
-                loop {
-                    emit_runs(
-                        trace,
-                        r.file,
-                        r.cursor.projected(),
-                        stride,
-                        r.cursor.step_count(),
-                        block_elems,
-                    );
-                    if !r.cursor.finish_segment() {
-                        break;
+                for _ in 0..len {
+                    for ((p, s), t) in pos.iter_mut().zip(segs).zip(&targets) {
+                        let block = BlockAddr::new(t.file, size.index(t.offset(*p)));
+                        match &mut run {
+                            Some((b, n)) if *b == block => *n += 1,
+                            _ => {
+                                if let Some((b, n)) = run.replace((block, 1)) {
+                                    trace.push_run(b, n);
+                                }
+                            }
+                        }
+                        *p += s.step;
                     }
                 }
-            }
-            _ => {
-                // Element-granular lockstep (matches cross-reference
-                // coalescing exactly).
-                loop {
-                    for r in refs.iter() {
-                        trace.push(BlockAddr::containing(r.file, r.offset(), block_elems));
-                    }
-                    let mut advanced = false;
-                    for r in refs.iter_mut() {
-                        advanced = r.cursor.advance().is_some();
-                    }
-                    if !advanced {
-                        break;
-                    }
-                }
+            });
+            if let Some((b, n)) = run {
+                trace.push_run(b, n);
             }
         }
     }
@@ -151,30 +178,33 @@ fn emit_runs(
     start: i64,
     stride: i64,
     len: i64,
-    block_elems: u64,
+    size: BlockSize,
 ) {
     debug_assert!(
         len > 0 && start >= 0,
         "emit_runs: empty segment or negative offset"
     );
-    let b = block_elems as i64;
     if stride == 0 {
-        trace.push_run(
-            BlockAddr::containing(file, start as u64, block_elems),
-            len as u32,
-        );
+        trace.push_run(BlockAddr::new(file, size.index(start as u64)), len as u32);
         return;
     }
+    let b = size.elems as i64;
     let mut off = start;
     let mut remaining = len;
     while remaining > 0 {
-        let blk = off / b;
-        // Steps until the offset leaves [blk·b, (blk+1)·b), current one
-        // included.
-        let steps = if stride > 0 {
-            ((blk + 1) * b - 1 - off) / stride + 1
+        let blk = size.index(off as u64) as i64;
+        // Offsets left in [blk·b, (blk+1)·b) in the direction of travel.
+        let room = if stride > 0 {
+            (blk + 1) * b - 1 - off
         } else {
-            (off - blk * b) / -stride + 1
+            off - blk * b
+        };
+        // Steps until the offset leaves the block, current one included.
+        // Unit strides and strides past the room need no divide.
+        let steps = match stride.abs() {
+            1 => room + 1,
+            s if s > room => 1,
+            s => room / s + 1,
         };
         let take = steps.min(remaining);
         trace.push_run(BlockAddr::new(file, blk as u64), take as u32);
@@ -189,7 +219,7 @@ mod tests {
 
     fn collect(start: i64, stride: i64, len: i64, block_elems: u64) -> Vec<(u64, u32)> {
         let mut t = ThreadTrace::new(0, 0);
-        emit_runs(&mut t, 0, start, stride, len, block_elems);
+        emit_runs(&mut t, 0, start, stride, len, BlockSize::new(block_elems));
         t.entries().map(|e| (e.block.index, e.count)).collect()
     }
 
@@ -222,6 +252,9 @@ mod tests {
             (63, -7, 10, 16),
             (2, 5, 1, 4),
             (7, 64, 9, 16),
+            (0, 1, 40, 12),
+            (95, -5, 19, 6),
+            (4, 0, 7, 3),
         ] {
             assert_eq!(
                 collect(start, stride, len, b),

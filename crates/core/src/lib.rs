@@ -43,6 +43,7 @@ pub mod pattern;
 pub mod target;
 pub mod template;
 pub mod tracegen;
+mod walk;
 
 pub use config::ParallelConfig;
 pub use error::CoreError;

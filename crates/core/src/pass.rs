@@ -9,14 +9,15 @@
 //! optimizes ~72% of arrays on average; the others keep their original
 //! layouts).
 
-use crate::algorithm1::{build_hier_layout, SMapping};
+use crate::algorithm1::{build_hier_layout, PrimaryRef, SMapping};
 use crate::config::ParallelConfig;
-use crate::layout::FileLayout;
+use crate::layout::{FileLayout, HierLayout};
 use crate::partition::{partition_array, AccessConstraint, PartitionOutcome};
 use crate::pattern::ChunkAddresser;
 use crate::target::{HierSpec, TargetLayers};
 use flo_linalg::dot;
-use flo_polyhedral::{ArrayId, Program};
+use flo_parallel::BlockPartition;
+use flo_polyhedral::{ArrayId, DataSpace, Program};
 use flo_sim::Topology;
 use std::time::Instant;
 
@@ -111,6 +112,25 @@ fn constraints_for(
 
 /// Run the inter-node file layout optimization.
 pub fn run_layout_pass(program: &Program, topo: &Topology, opts: &PassOptions) -> LayoutPlan {
+    run_pass_with(program, topo, opts, build_hier_layout)
+}
+
+/// [`run_layout_pass`] with the Algorithm 1 implementation as a
+/// parameter, so the pass oracle can run the same pass over its
+/// reference walk.
+pub(crate) fn run_pass_with(
+    program: &Program,
+    topo: &Topology,
+    opts: &PassOptions,
+    algorithm1: impl Fn(
+        &DataSpace,
+        &[i64],
+        SMapping,
+        &BlockPartition,
+        &ChunkAddresser,
+        Option<PrimaryRef<'_>>,
+    ) -> HierLayout,
+) -> LayoutPlan {
     let _span = flo_obs::span("layout-pass");
     let start = Instant::now();
     let cfg = &opts.parallel;
@@ -169,11 +189,11 @@ pub fn run_layout_pass(program: &Program, topo: &Topology, opts: &PassOptions) -
                     u64::MAX
                 };
                 let addresser = ChunkAddresser::for_data(&spec, per_thread);
-                let primary_ref = opts.first_touch.then_some(crate::algorithm1::PrimaryRef {
+                let primary_ref = opts.first_touch.then_some(PrimaryRef {
                     nest_space: &primary_nest.space,
                     accesses,
                 });
-                let layout = build_hier_layout(
+                let layout = algorithm1(
                     &decl.space,
                     &p.d_row,
                     smap,

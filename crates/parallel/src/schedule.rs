@@ -1,9 +1,12 @@
 //! Per-thread iteration schedules.
 //!
 //! A thread executes its iteration blocks in round-robin order and walks
-//! each block lexicographically (outer loops slowest). The schedule is
-//! produced lazily — the simulator streams billions of element accesses
-//! through this iterator without materializing the iteration space.
+//! each block lexicographically (outer loops slowest).
+//! [`ThreadSchedule::iterations`] yields that order one allocated vector
+//! per iteration, so it is the reference walker only: behind the
+//! reference trace generator, the layout pass's oracle and tests. The
+//! layout pass and the fast trace generator walk the same order one
+//! innermost segment at a time with incremental cursors.
 
 use crate::blocks::BlockPartition;
 use flo_polyhedral::IterSpace;
@@ -44,7 +47,8 @@ impl<'a> ThreadSchedule<'a> {
         width * other
     }
 
-    /// Iterate over the thread's iteration vectors in execution order.
+    /// Iterate over the thread's iteration vectors in execution order
+    /// (the reference walker; see the module docs).
     pub fn iterations(&self) -> impl Iterator<Item = Vec<i64>> + '_ {
         let u = self.partition.u();
         self.partition

@@ -61,9 +61,10 @@ impl IterSpace {
                 .all(|(k, &v)| v >= self.lower[k] && v < self.upper[k])
     }
 
-    /// Lexicographic iterator over all iteration vectors. Intended for
-    /// tests and small spaces; the simulator walks spaces incrementally
-    /// instead of materializing them.
+    /// Lexicographic iterator over all iteration vectors, one allocated
+    /// vector per iteration. A reference walker for tests and naive
+    /// oracles only: the layout pass and trace generation walk spaces a
+    /// segment at a time with [`AccessCursor`](crate::AccessCursor)s.
     pub fn iter(&self) -> IterSpaceIter<'_> {
         IterSpaceIter {
             space: self,

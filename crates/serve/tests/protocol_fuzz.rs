@@ -1,13 +1,22 @@
 //! Wire-protocol fuzzing: truncated frames, bit-flipped payloads,
 //! hostile length headers, non-UTF-8 bodies, version skew and random
 //! garbage must all come back as *typed* protocol errors (or a clean
-//! hangup) — never a panic, never a wedged worker.
+//! hangup) — never a panic, never a wedged worker. Well-formed `layout`,
+//! `simulate` and `sweep` envelopes carrying extreme values (capacities
+//! up to 2^53 − 1, extreme fault seeds and intensities, unknown apps)
+//! must come back answered or typed too.
 //!
 //! The PRNG is a hand-rolled xorshift (the workspace is dependency-free)
 //! with a fixed seed, so a failing case reproduces from its index.
 
-use flo_serve::protocol::{read_frame, Request, PROTOCOL_VERSION};
+use flo_bench::Scheme;
+use flo_core::TargetLayers;
+use flo_serve::protocol::{
+    check_sweep, read_frame, FaultSpec, Request, ServeError, PROTOCOL_VERSION,
+};
 use flo_serve::{server, signal, Client, Listen, ServerConfig, Service};
+use flo_sim::{PolicyKind, SweepPoint};
+use flo_workloads::Scale;
 use std::io::Write;
 use std::os::unix::net::UnixStream;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -462,6 +471,166 @@ fn telemetry_frames_survive_truncation_bitflips_and_version_skew() {
             }
             assert_alive(listen);
         }
+    });
+}
+
+/// The largest integer a JSON number carries exactly, 2^53 − 1.
+const MAX_EXACT: u64 = (1 << 53) - 1;
+
+const SCHEMES: [Scheme; 4] = [
+    Scheme::Default,
+    Scheme::Inter,
+    Scheme::CompMap,
+    Scheme::Reindex,
+];
+
+const POLICIES: [PolicyKind; 4] = [
+    PolicyKind::LruInclusive,
+    PolicyKind::DemoteLru,
+    PolicyKind::Karma,
+    PolicyKind::MqSecondLevel,
+];
+
+const UNKNOWN_APPS: [&str; 4] = ["", "no-such-app", "QIO", "qio\u{0}"];
+
+/// Fault specs at the extremes of the wire's ranges, `None` included.
+fn extreme_faults() -> Vec<Option<FaultSpec>> {
+    let mut out = vec![None];
+    for seed in [0, MAX_EXACT] {
+        for intensity in [0.0, 1e-300, 1.0, 1000.0] {
+            out.push(Some(FaultSpec { seed, intensity }));
+        }
+    }
+    out
+}
+
+/// A sweep point of `io` I/O-cache and `storage` storage-cache blocks.
+fn point(io: u64, storage: u64) -> SweepPoint {
+    SweepPoint {
+        io_cache_blocks: io as usize,
+        storage_cache_blocks: storage as usize,
+    }
+}
+
+/// Capacity lists at the extremes: 1, powers of two a node accepts and
+/// powers up to 2^52 it refuses, 2^53 − 1, and more points than the
+/// one-pass engine runs together.
+fn extreme_points(rng: &mut XorShift) -> Vec<Vec<SweepPoint>> {
+    let small = |rng: &mut XorShift| 1u64 << rng.below(13);
+    let large = |rng: &mut XorShift| 1u64 << (30 + rng.below(23));
+    vec![
+        vec![point(1, 1)],
+        vec![point(small(rng), small(rng))],
+        vec![point(large(rng), 1)],
+        vec![point(1, large(rng))],
+        vec![point(MAX_EXACT, 1)],
+        vec![point(1, MAX_EXACT)],
+        vec![point(MAX_EXACT, MAX_EXACT)],
+        (0..11).map(|k| point(1 << k, 1 << (10 - k))).collect(),
+        (1..=65).map(|k| point(k, 1)).collect(),
+    ]
+}
+
+/// The value-level cases: every scale, target, scheme and policy, each
+/// fault and capacity extreme, and unknown apps, with the known apps
+/// drawn by `rng`. Full-scale work stays cheap: layouts, and requests
+/// that must be refused before they run.
+fn value_cases(rng: &mut XorShift) -> Vec<Request> {
+    let known: Vec<&str> = flo_workloads::all(Scale::Small)
+        .iter()
+        .map(|w| w.name)
+        .collect();
+    let app = |rng: &mut XorShift| known[rng.below(known.len())].to_string();
+    let unknown = |rng: &mut XorShift| UNKNOWN_APPS[rng.below(UNKNOWN_APPS.len())].to_string();
+    let mut cases = Vec::new();
+    for scale in [Scale::Small, Scale::Full] {
+        for target in TargetLayers::all() {
+            for app in [app(rng), unknown(rng)] {
+                cases.push(Request::Layout { app, scale, target });
+            }
+        }
+    }
+    let faults = extreme_faults();
+    for (k, (&scheme, &policy)) in SCHEMES
+        .iter()
+        .flat_map(|s| POLICIES.iter().map(move |p| (s, p)))
+        .enumerate()
+    {
+        let fault = faults[k % faults.len()];
+        for (scale, app) in [(Scale::Small, app(rng)), (Scale::Full, unknown(rng))] {
+            cases.push(Request::Simulate {
+                app,
+                scale,
+                scheme,
+                policy,
+                fault,
+            });
+        }
+    }
+    for fault in faults {
+        let (scheme, policy) = (SCHEMES[rng.below(4)], POLICIES[rng.below(4)]);
+        cases.push(Request::Simulate {
+            app: app(rng),
+            scale: Scale::Small,
+            scheme,
+            policy,
+            fault,
+        });
+    }
+    for (k, points) in extreme_points(rng).into_iter().enumerate() {
+        // Long lists run on the one-pass engine (LRU); other policies
+        // simulate every point.
+        let policy = if points.len() > 2 {
+            PolicyKind::LruInclusive
+        } else {
+            POLICIES[k % POLICIES.len()]
+        };
+        let scheme = SCHEMES[rng.below(4)];
+        cases.push(Request::Sweep {
+            app: app(rng),
+            scale: Scale::Small,
+            scheme,
+            policy,
+            points: points.clone(),
+        });
+        cases.push(Request::Sweep {
+            app: unknown(rng),
+            scale: Scale::Full,
+            scheme,
+            policy,
+            points,
+        });
+    }
+    cases
+}
+
+/// Well-formed envelopes with extreme values: unknown apps and sweeps
+/// over a node's cache-array bound get a typed `bad-request`, every other
+/// case is answered, and none gets an `internal` error (a caught panic).
+/// The daemon passes a liveness probe after every case.
+#[test]
+fn extreme_values_in_well_formed_envelopes_get_answers_or_typed_refusals() {
+    with_server(|listen| {
+        let cases = value_cases(&mut XorShift(0x5EED_0BAD));
+        let (mut answered, mut refused) = (0, 0);
+        for (case, req) in cases.iter().enumerate() {
+            let refuse = UNKNOWN_APPS.contains(&req.app())
+                || matches!(req, Request::Sweep { scale, policy, points, .. }
+                    if check_sweep(*scale, *policy, points).is_err());
+            let got = Client::connect(listen)
+                .expect("daemon vanished")
+                .call(req, None);
+            match (got, refuse) {
+                (Ok(_), false) => answered += 1,
+                (Err(ServeError::BadRequest(_)), true) => refused += 1,
+                (other, _) => panic!("case {case} {req:?}: {other:?}"),
+            }
+            assert_alive(listen);
+        }
+        assert!(
+            answered > 0 && refused > 0,
+            "{answered} answered, {refused} refused"
+        );
     });
 }
 

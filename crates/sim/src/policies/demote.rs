@@ -23,6 +23,10 @@ pub trait DemoteCache {
     fn access_weighted(&mut self, block: BlockAddr, weight: u32) -> bool;
     /// Insert at MRU; returns the evicted victim if full.
     fn insert(&mut self, block: BlockAddr) -> Option<BlockAddr>;
+    /// [`insert`](DemoteCache::insert) of a block this cache just
+    /// missed, with no mutation since: skips the residency probe where
+    /// the cache has one to skip.
+    fn insert_absent(&mut self, block: BlockAddr) -> Option<BlockAddr>;
     /// Remove a resident block.
     fn remove(&mut self, block: BlockAddr) -> bool;
 }
@@ -32,6 +36,9 @@ impl DemoteCache for LruCore {
         LruCore::access_weighted(self, block, weight)
     }
     fn insert(&mut self, block: BlockAddr) -> Option<BlockAddr> {
+        LruCore::insert(self, block)
+    }
+    fn insert_absent(&mut self, block: BlockAddr) -> Option<BlockAddr> {
         LruCore::insert(self, block)
     }
     fn remove(&mut self, block: BlockAddr) -> bool {
@@ -45,6 +52,9 @@ impl DemoteCache for SetAssocCache {
     }
     fn insert(&mut self, block: BlockAddr) -> Option<BlockAddr> {
         SetAssocCache::insert(self, block)
+    }
+    fn insert_absent(&mut self, block: BlockAddr) -> Option<BlockAddr> {
+        SetAssocCache::insert_absent(self, block)
     }
     fn remove(&mut self, block: BlockAddr) -> bool {
         SetAssocCache::remove(self, block)
@@ -88,8 +98,9 @@ pub fn access_weighted<C: DemoteCache>(
     }
     if lower.access_weighted(block, 1) {
         // Exclusive promote: remove below, install above, demote victim.
+        // The upper cache has not changed since it missed `block`.
         lower.remove(block);
-        let evicted = upper.insert(block);
+        let evicted = upper.insert_absent(block);
         let demoted = match evicted {
             Some(victim) => {
                 lower.insert(victim);
@@ -100,7 +111,7 @@ pub fn access_weighted<C: DemoteCache>(
         return DemoteOutcome::LowerHit { demoted };
     }
     // Disk read: exclusive placement — upper only.
-    let evicted = upper.insert(block);
+    let evicted = upper.insert_absent(block);
     let demoted = match evicted {
         Some(victim) => {
             lower.insert(victim);

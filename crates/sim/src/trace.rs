@@ -131,7 +131,9 @@ impl ThreadTrace {
     /// whole block runs per innermost loop segment through this.
     pub fn push_run(&mut self, block: BlockAddr, count: u32) {
         debug_assert!(count > 0, "push_run: empty run");
-        self.distinct = OnceLock::new();
+        // Reset the footprint memo only when one is set: traces are
+        // pushed to far more often than their footprint is asked for.
+        self.distinct.take();
         if let Some(last) = self.packed.last_mut() {
             if last.file == ESCAPED {
                 let prev = &mut self.escaped[last.index as usize];
