@@ -103,14 +103,6 @@ impl FileLayout {
         }
     }
 
-    /// Offset movement per element-vector step `dir` under a dense
-    /// layout (`None` for hierarchical layouts): `⟨strides, dir⟩`.
-    pub fn offset_step(&self, space: &DataSpace, dir: &[i64]) -> Option<i64> {
-        let s = self.strides(space)?;
-        debug_assert_eq!(dir.len(), s.len(), "offset_step rank mismatch");
-        Some(s.iter().zip(dir).map(|(&a, &b)| a * b).sum())
-    }
-
     /// The file's extent in elements (equals the array size for dense
     /// layouts; may exceed it for hierarchical layouts with padding
     /// holes).
@@ -411,20 +403,10 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn offset_step_is_stride_dot_direction() {
-        let s = DataSpace::new(vec![4, 6]);
-        let layout = FileLayout::RowMajor;
-        assert_eq!(layout.offset_step(&s, &[0, 1]), Some(1));
-        assert_eq!(layout.offset_step(&s, &[1, 0]), Some(6));
-        assert_eq!(layout.offset_step(&s, &[1, -2]), Some(4));
         let hier = FileLayout::Hierarchical(HierLayout {
             table: vec![0],
             file_elems: 1,
         });
-        assert_eq!(hier.offset_step(&s, &[0, 1]), None);
-        assert_eq!(hier.strides(&s), None);
+        assert_eq!(hier.strides(&s), None, "hierarchical layouts have none");
     }
 }

@@ -253,11 +253,21 @@ impl fmt::Display for ParseError {
 
 impl std::error::Error for ParseError {}
 
-/// Parse a complete JSON document (trailing whitespace allowed).
+/// Deepest nesting of arrays and objects [`parse`] accepts (serde_json's
+/// default). The parser recurses once per level, so without a bound a
+/// document of a million `[` overflows the thread's stack, which aborts
+/// the process rather than unwinding.
+pub const MAX_DEPTH: usize = 128;
+
+/// Parse a complete JSON document (trailing whitespace allowed). Runs in
+/// time linear in the input; nesting deeper than [`MAX_DEPTH`] is an
+/// error.
 pub fn parse(input: &str) -> Result<Json, ParseError> {
     let mut p = Parser {
+        text: input,
         bytes: input.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     p.skip_ws();
     let v = p.value()?;
@@ -269,8 +279,11 @@ pub fn parse(input: &str) -> Result<Json, ParseError> {
 }
 
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects open around `pos`.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -315,8 +328,19 @@ impl<'a> Parser<'a> {
             b't' => self.literal("true", Json::Bool(true)),
             b'f' => self.literal("false", Json::Bool(false)),
             b'"' => Ok(Json::Str(self.string()?)),
-            b'[' => self.array(),
-            b'{' => self.object(),
+            open @ (b'[' | b'{') => {
+                if self.depth == MAX_DEPTH {
+                    return Err(self.err("nesting too deep"));
+                }
+                self.depth += 1;
+                let v = if open == b'[' {
+                    self.array()
+                } else {
+                    self.object()
+                };
+                self.depth -= 1;
+                v
+            }
             b'-' | b'0'..=b'9' => self.number(),
             _ => Err(self.err("unexpected character")),
         }
@@ -376,51 +400,50 @@ impl<'a> Parser<'a> {
         self.expect(b'"')?;
         let mut s = String::new();
         loop {
-            match self.peek().ok_or_else(|| self.err("unterminated string"))? {
-                b'"' => {
-                    self.pos += 1;
-                    return Ok(s);
+            // Copy everything up to the next quote or backslash in one
+            // run. Both are ASCII, so the run ends on a char boundary of
+            // the input `&str` and needs no re-validation; `get` keeps
+            // the path panic-free all the same.
+            let start = self.pos;
+            self.pos = self.bytes[start..]
+                .iter()
+                .position(|&b| b == b'"' || b == b'\\')
+                .map_or(self.bytes.len(), |n| start + n);
+            let run = self
+                .text
+                .get(start..self.pos)
+                .ok_or_else(|| self.err("invalid UTF-8"))?;
+            s.push_str(run);
+            if self.peek().ok_or_else(|| self.err("unterminated string"))? == b'"' {
+                self.pos += 1;
+                return Ok(s);
+            }
+            // A backslash: one escape.
+            self.pos += 1;
+            let esc = self.peek().ok_or_else(|| self.err("unterminated escape"))?;
+            self.pos += 1;
+            match esc {
+                b'"' => s.push('"'),
+                b'\\' => s.push('\\'),
+                b'/' => s.push('/'),
+                b'n' => s.push('\n'),
+                b'r' => s.push('\r'),
+                b't' => s.push('\t'),
+                b'b' => s.push('\u{8}'),
+                b'f' => s.push('\u{c}'),
+                b'u' => {
+                    let hex = self
+                        .bytes
+                        .get(self.pos..self.pos + 4)
+                        .and_then(|h| std::str::from_utf8(h).ok())
+                        .and_then(|h| u32::from_str_radix(h, 16).ok())
+                        .ok_or_else(|| self.err("bad \\u escape"))?;
+                    self.pos += 4;
+                    // Surrogate pairs are not needed by our artifacts;
+                    // lone surrogates map to the replacement char.
+                    s.push(char::from_u32(hex).unwrap_or('\u{fffd}'));
                 }
-                b'\\' => {
-                    self.pos += 1;
-                    let esc = self.peek().ok_or_else(|| self.err("unterminated escape"))?;
-                    self.pos += 1;
-                    match esc {
-                        b'"' => s.push('"'),
-                        b'\\' => s.push('\\'),
-                        b'/' => s.push('/'),
-                        b'n' => s.push('\n'),
-                        b'r' => s.push('\r'),
-                        b't' => s.push('\t'),
-                        b'b' => s.push('\u{8}'),
-                        b'f' => s.push('\u{c}'),
-                        b'u' => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos..self.pos + 4)
-                                .and_then(|h| std::str::from_utf8(h).ok())
-                                .and_then(|h| u32::from_str_radix(h, 16).ok())
-                                .ok_or_else(|| self.err("bad \\u escape"))?;
-                            self.pos += 4;
-                            // Surrogate pairs are not needed by our artifacts;
-                            // lone surrogates map to the replacement char.
-                            s.push(char::from_u32(hex).unwrap_or('\u{fffd}'));
-                        }
-                        _ => return Err(self.err("unknown escape")),
-                    }
-                }
-                _ => {
-                    // Consume one UTF-8 scalar. The input came in as &str so
-                    // this cannot fail, but the parse path stays panic-free
-                    // regardless of what bytes it is handed.
-                    let rest = &self.bytes[self.pos..];
-                    let c = std::str::from_utf8(rest)
-                        .ok()
-                        .and_then(|t| t.chars().next())
-                        .ok_or_else(|| self.err("invalid UTF-8"))?;
-                    s.push(c);
-                    self.pos += c.len_utf8();
-                }
+                _ => return Err(self.err("unknown escape")),
             }
         }
     }
@@ -443,6 +466,9 @@ impl<'a> Parser<'a> {
             .ok_or_else(|| self.err("invalid number"))
     }
 }
+
+#[cfg(test)]
+mod oracle;
 
 #[cfg(test)]
 mod tests {

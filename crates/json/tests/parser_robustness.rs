@@ -81,14 +81,34 @@ fn corrupted_docs_never_panic() {
     }
 }
 
-/// Pathological nesting depth is handled without blowing the stack into
-/// an abort: deep arrays either parse or error.
+/// `open` repeated `depth` times around `inner`, each level closed by
+/// `close`.
+fn nested(depth: usize, open: &str, inner: &str, close: &str) -> String {
+    format!("{}{inner}{}", open.repeat(depth), close.repeat(depth))
+}
+
+/// Nesting is bounded at `MAX_DEPTH`, so no document can recurse the
+/// parser off its stack (an overflow aborts the process; it does not
+/// unwind). On a thread with a 256 KiB stack, a million levels of `[`
+/// and of `{"a":`, closed or not, are errors, and a document nested
+/// exactly `MAX_DEPTH` deep still parses.
 #[test]
 fn deep_nesting_is_bounded() {
-    let depth = 2_000;
-    let doc = format!("{}{}", "[".repeat(depth), "]".repeat(depth));
-    // Either outcome is acceptable; the invariant is "no crash".
-    let _ = flo_json::parse(&doc);
-    let unclosed = "[".repeat(depth);
-    assert!(flo_json::parse(&unclosed).is_err());
+    use flo_json::{parse, MAX_DEPTH};
+    std::thread::Builder::new()
+        .stack_size(256 << 10)
+        .spawn(|| {
+            for (open, close) in [("[", "]"), ("{\"a\":", "}")] {
+                parse(&nested(MAX_DEPTH, open, "0", close))
+                    .unwrap_or_else(|e| panic!("{MAX_DEPTH} levels of {open}: {e}"));
+                let past = parse(&nested(MAX_DEPTH + 1, open, "0", close));
+                assert_eq!(past.map_err(|e| e.msg), Err("nesting too deep"));
+                let million = 1_000_000;
+                assert!(parse(&nested(million, open, "0", close)).is_err());
+                assert!(parse(&open.repeat(million)).is_err());
+            }
+        })
+        .expect("spawn a small-stack thread")
+        .join()
+        .expect("deep documents are errors, not overflows");
 }

@@ -131,12 +131,6 @@ impl AccessCursor {
         }
     }
 
-    /// Per-innermost-step movement of the element vector (`Q`'s last
-    /// column).
-    pub fn innermost_col(&self) -> &[i64] {
-        &self.cols[self.cols.len() - 1]
-    }
-
     /// Per-innermost-step movement of the scalar projection.
     pub fn innermost_step(&self) -> i64 {
         self.pdeltas[self.pdeltas.len() - 1]

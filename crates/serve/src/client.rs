@@ -79,14 +79,17 @@ impl io::Write for Conn {
     }
 }
 
-/// Decode a response envelope into the `result` payload or the typed
-/// error the server sent.
-fn decode_response(resp: &Json) -> Result<Json, ServeError> {
+/// Decode a response envelope into the `result` payload, moved out of
+/// the envelope, or the typed error the server sent.
+fn decode_response(resp: Json) -> Result<Json, ServeError> {
     match resp.get("ok").and_then(Json::as_bool) {
-        Some(true) => resp
-            .get("result")
-            .cloned()
-            .ok_or_else(|| ServeError::Protocol("ok response lacks `result`".into())),
+        Some(true) => match resp {
+            Json::Obj(fields) => fields
+                .into_iter()
+                .find_map(|(k, v)| (k == "result").then_some(v)),
+            _ => None,
+        }
+        .ok_or_else(|| ServeError::Protocol("ok response lacks `result`".into())),
         Some(false) => {
             let err = resp.get("error");
             let kind = err
@@ -119,7 +122,7 @@ pub fn decode_envelope_bytes(bytes: &[u8]) -> Result<Json, ServeError> {
         .map_err(|e| ServeError::Protocol(format!("response is not UTF-8: {e}")))?;
     let json = flo_json::parse(text)
         .map_err(|e| ServeError::Protocol(format!("response is not JSON: {e}")))?;
-    decode_response(&json)
+    decode_response(json)
 }
 
 /// The client seed behind trace ids and breaker probe jitter: `FLO_SEED`
@@ -250,7 +253,7 @@ impl Client {
             .get("id")
             .and_then(Json::as_u64)
             .ok_or_else(|| ServeError::Protocol("response lacks `id`".into()))?;
-        Ok((id, decode_response(&resp)))
+        Ok((id, decode_response(resp)))
     }
 
     /// Read the next response as raw envelope bytes plus its id — the
@@ -336,16 +339,18 @@ impl Client {
         for req in reqs {
             ids.push(self.send(req, deadline_ms)?);
         }
-        let mut by_id: Vec<(u64, Result<Json, ServeError>)> = Vec::with_capacity(reqs.len());
+        let mut by_id: Vec<(u64, Option<Result<Json, ServeError>>)> =
+            Vec::with_capacity(reqs.len());
         for _ in reqs {
-            by_id.push(self.recv()?);
+            let (got, payload) = self.recv()?;
+            by_id.push((got, Some(payload)));
         }
         ids.iter()
             .map(|id| {
                 by_id
-                    .iter()
-                    .position(|(got, _)| got == id)
-                    .map(|i| by_id[i].1.clone())
+                    .iter_mut()
+                    .find(|(got, _)| got == id)
+                    .and_then(|(_, payload)| payload.take())
                     .ok_or_else(|| {
                         ServeError::Protocol(format!("no response for pipelined request id {id}"))
                     })
@@ -909,14 +914,18 @@ mod tests {
     #[test]
     fn decode_maps_typed_errors() {
         let busy = crate::protocol::err_response(3, &ServeError::Busy);
-        assert_eq!(decode_response(&busy), Err(ServeError::Busy));
+        assert_eq!(decode_response(busy), Err(ServeError::Busy));
         let ok = crate::protocol::ok_response(4, Json::obj().set("pong", true));
-        let payload = decode_response(&ok).unwrap();
+        let payload = decode_response(ok).unwrap();
         assert_eq!(payload.get("pong").and_then(Json::as_bool), Some(true));
-        let junk = Json::obj().set("id", 9u64);
-        assert!(matches!(
-            decode_response(&junk),
-            Err(ServeError::Protocol(_))
-        ));
+        for junk in [
+            Json::obj().set("id", 9u64),
+            Json::obj().set("id", 9u64).set("ok", true),
+        ] {
+            assert!(matches!(
+                decode_response(junk),
+                Err(ServeError::Protocol(_))
+            ));
+        }
     }
 }

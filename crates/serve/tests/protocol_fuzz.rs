@@ -1,16 +1,18 @@
 //! Wire-protocol fuzzing: truncated frames, bit-flipped payloads,
-//! hostile length headers, non-UTF-8 bodies, version skew and random
-//! garbage must all come back as *typed* protocol errors (or a clean
-//! hangup) — never a panic, never a wedged worker. Well-formed `layout`,
-//! `simulate` and `sweep` envelopes carrying extreme values (capacities
-//! up to 2^53 − 1, extreme fault seeds and intensities, unknown apps)
-//! must come back answered or typed too.
+//! hostile length headers, non-UTF-8 bodies, a million levels of nesting,
+//! version skew and random garbage must all come back as *typed* protocol
+//! errors (or a clean hangup) — never a panic, never a wedged worker.
+//! Well-formed `layout`, `simulate` and `sweep` envelopes carrying
+//! extreme values (capacities up to 2^53 − 1, extreme fault seeds and
+//! intensities, unknown apps, and extreme or ill-typed deadlines, ids and
+//! trace ids) must come back answered or typed too.
 //!
 //! The PRNG is a hand-rolled xorshift (the workspace is dependency-free)
 //! with a fixed seed, so a failing case reproduces from its index.
 
 use flo_bench::Scheme;
 use flo_core::TargetLayers;
+use flo_json::Json;
 use flo_serve::protocol::{
     check_sweep, read_frame, FaultSpec, Request, ServeError, PROTOCOL_VERSION,
 };
@@ -219,6 +221,23 @@ fn structured_hostile_frames_get_typed_errors() {
             assert_eq!(error_kind(r).as_deref(), Some("protocol"));
         }
         assert_alive(listen);
+    });
+}
+
+/// A frame nested a million levels deep is refused as any other garbage
+/// body is. The node parses frames on its event-loop thread, so before
+/// the parser bounded its depth this text overflowed that thread's stack
+/// and aborted the whole process.
+#[test]
+fn deeply_nested_frames_get_typed_errors() {
+    with_server(|listen| {
+        for open in ["[", "{\"a\":"] {
+            let body = open.repeat((1 << 20) / open.len());
+            let responses = fire(listen, &frame(body.as_bytes()));
+            assert_eq!(responses.len(), 1, "a {open} frame must be answered");
+            assert_eq!(error_kind(&responses[0]).as_deref(), Some("protocol"));
+            assert_alive(listen);
+        }
     });
 }
 
@@ -631,7 +650,95 @@ fn extreme_values_in_well_formed_envelopes_get_answers_or_typed_refusals() {
             answered > 0 && refused > 0,
             "{answered} answered, {refused} refused"
         );
+        envelope_numbers_get_answers_or_typed_refusals(listen);
     });
+}
+
+/// The frame of `req`'s envelope with `field` written as the JSON text
+/// `value`, in place of any value the envelope had for it.
+fn envelope_with(req: &Request, field: &str, value: &str) -> Vec<u8> {
+    let Json::Obj(mut fields) = req.to_envelope(1, None) else {
+        unreachable!("an envelope is an object")
+    };
+    fields.retain(|(k, _)| k != field);
+    let body = Json::Obj(fields).to_string();
+    frame(format!("{},\"{field}\":{value}}}", &body[..body.len() - 1]).as_bytes())
+}
+
+/// The one response to `bytes`: `Ok` with its envelope, or the error kind.
+fn sole_response(listen: &Listen, bytes: &[u8]) -> Result<Json, String> {
+    let mut responses = fire(listen, bytes);
+    assert_eq!(responses.len(), 1, "one frame, one answer: {responses:?}");
+    let resp = responses.remove(0);
+    match resp.get("ok").and_then(Json::as_bool) {
+        Some(true) => Ok(resp),
+        Some(false) => Err(error_kind(&resp).unwrap_or_default()),
+        None => panic!("malformed response envelope {resp}"),
+    }
+}
+
+/// The envelope's own numbers at the same extremes: `deadline_ms` of 0,
+/// 1 and 2^53 − 1 are answered or refused as expired, and negative,
+/// fractional, huge, string and null deadlines are a `bad-request`;
+/// `trace` of 0 and 2^53 − 1 echo, and −1 and 1.5 are a `bad-request`;
+/// `id` of 0 and 2^53 − 1 echo, and −1 and 1.5, no id a client can
+/// match, are answered under id 0. Each deadline goes on a cached key
+/// (answered inline) and on a fresh one (queued for a worker).
+fn envelope_numbers_get_answers_or_typed_refusals(listen: &Listen) {
+    let cached = Request::Layout {
+        app: "qio".into(),
+        scale: Scale::Small,
+        target: TargetLayers::all()[0],
+    };
+    let fresh = |seed: u64| Request::Simulate {
+        app: "qio".into(),
+        scale: Scale::Small,
+        scheme: Scheme::Default,
+        policy: PolicyKind::LruInclusive,
+        fault: Some(FaultSpec {
+            seed: 0xDEAD_0000 + seed,
+            intensity: 1.0,
+        }),
+    };
+    let max = MAX_EXACT.to_string();
+    let deadlines = ["0", "1", &max, "-1", "0.5", "1e300", "\"x\"", "null"];
+    for (k, &value) in deadlines.iter().enumerate() {
+        let valid = k < 3;
+        for req in [cached.clone(), fresh(k as u64)] {
+            match sole_response(listen, &envelope_with(&req, "deadline_ms", value)) {
+                Ok(_) if valid => {}
+                Err(kind) if valid && kind == "deadline" => {}
+                Err(kind) if !valid && kind == "bad-request" => {}
+                other => panic!("deadline_ms {value} on {req:?}: {other:?}"),
+            }
+            assert_alive(listen);
+        }
+    }
+    for field in ["trace", "id"] {
+        for (value, echo) in [
+            ("0", Some(0)),
+            (&max, Some(MAX_EXACT)),
+            ("-1", None),
+            ("1.5", None),
+        ] {
+            let got = sole_response(listen, &envelope_with(&cached, field, value));
+            match (field, echo, got) {
+                (_, Some(want), Ok(resp)) => {
+                    assert_eq!(
+                        resp.get(field).and_then(Json::as_u64),
+                        Some(want),
+                        "{field} {value}"
+                    )
+                }
+                ("trace", None, Err(kind)) if kind == "bad-request" => {}
+                ("id", None, Ok(resp)) => {
+                    assert_eq!(resp.get("id").and_then(Json::as_u64), Some(0), "id {value}")
+                }
+                (_, _, other) => panic!("{field} {value}: {other:?}"),
+            }
+            assert_alive(listen);
+        }
+    }
 }
 
 #[test]
